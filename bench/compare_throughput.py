@@ -23,12 +23,14 @@ Fails (exit 1) when
     wall-clock ceiling, --gamma-n10-max-seconds, because that compile
     took minutes before warm row appends and the ceiling catches a
     wholesale fallback to cold re-solves even on a slow runner), or
-  * the revised backend's cutting-plane batch regime (gamma_cut_batch)
-    serves fewer than --min-cut-batch-ratio times its own scalar
-    evaluate-sequence rate — both rates come from the same process, so
-    the ratio is machine-independent; the dense backend's ratio is
-    printed for visibility only (its batch path is the row-reuse
-    fallback, not the shared-pool resolve), or
+  * the cutting-plane batch regime (gamma_cut_batch) serves more than
+    --tolerance fewer estimates/s than the baseline's (recorded at 60% of
+    the reference box). This is the one absolute rate gated by default:
+    its former same-process normalizer, the scalar evaluate sequence,
+    serves every jittered column from a cached basis since the revised
+    simplex keeps two, so batch and scalar do the same witness work per
+    column and their ratio (~1.1, printed for reference) no longer
+    measures the batch path, or
   * a serve lane (the AdvisorService admission-batching regime: 16
     client threads x pipelined single estimates with invalidation churn)
     aggregates fewer than --min-serve-speedup times the same-process
@@ -97,7 +99,8 @@ The gating checks are ratios of numbers measured in the same process on
 the same machine (or deterministic pivot counts), so they catch real
 warm/batch-path regressions without flaking on runner-to-runner speed
 differences. Raw est/s is printed for visibility and compared only under
---strict-absolute (useful on a dedicated runner); the checked-in
+--strict-absolute (useful on a dedicated runner), except for the
+cutting-plane batch rate (see above); the checked-in
 baseline's absolute numbers come from the reference dev box scaled to 60%
 (see its "_note").
 
@@ -130,9 +133,6 @@ def main():
                         help="wall-clock ceiling for the gamma_n10 compile "
                              "(generous: ~0.5s on the dev box; minutes means "
                              "warm row appends fell back to cold re-solves)")
-    parser.add_argument("--min-cut-batch-ratio", type=float, default=2.0,
-                        help="required batch/scalar ratio for the revised "
-                             "backend's cutting-plane batch regime")
     parser.add_argument("--min-serve-speedup", type=float, default=3.0,
                         help="required serve/warm aggregate throughput ratio "
                              "(16 clients vs single-threaded scalar warm)")
@@ -449,23 +449,27 @@ def main():
                     f"optimizer_plan_quality: bound-driven peak sum {bound} "
                     f"exceeds {rival} {rival_sum} on the JOB scoring set")
 
-    # Cutting-plane batch regime: the shared-pool multi-RHS resolve must
-    # beat the scalar evaluate sequence on the revised backend. Both rates
-    # are measured in the same process, so the ratio travels across
-    # runners. Dense is informational: its batch path is the row-reuse
-    # fallback, and the shared pool only helps it amortize separation.
+    # Cutting-plane batch regime: the shared-pool relaxed block resolve's
+    # own rate against the baseline's (see the module docstring for why
+    # this lane gates an absolute rate); the batch/scalar ratio is
+    # informational.
+    base_cut = by_backend(baseline.get("gamma_cut_batch", []))
     for run in new.get("gamma_cut_batch", []):
         backend = run["backend"]
         ratio = (run["batch_est_per_s"] / run["scalar_est_per_s"]
                  if run["scalar_est_per_s"] > 0 else float("inf"))
-        gated = backend == "revised"
-        tag = "" if gated else " (info)"
-        print(f"{'cut batch/scalar ' + backend + tag:<34} "
+        print(f"{'cut batch/scalar ' + backend + ' (info)':<34} "
               f"{'':>12} {'':>12} {ratio:>7.2f}x")
-        if gated and ratio < args.min_cut_batch_ratio:
+        base_run = base_cut.get(backend)
+        if base_run is None:
+            continue
+        base_v, new_v = base_run["batch_est_per_s"], run["batch_est_per_s"]
+        print(f"{'cut batch ' + backend + ' est_per_s':<34} "
+              f"{base_v:>12.1f} {new_v:>12.1f} {new_v / base_v:>7.2f}x")
+        if new_v < (1.0 - args.tolerance) * base_v:
             failures.append(
-                f"gamma_cut_batch/{backend}: batch only {ratio:.2f}x the "
-                f"scalar sequence (need >= {args.min_cut_batch_ratio:.1f}x)")
+                f"gamma_cut_batch/{backend}: batch est_per_s {new_v:.1f} is "
+                f">{args.tolerance:.0%} below baseline {base_v:.1f}")
 
     if failures:
         print("\nPERF GATE FAILED:", file=sys.stderr)

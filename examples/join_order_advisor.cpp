@@ -162,14 +162,11 @@ int main() {
     std::printf("\n");
   }
 
-  // One Explain for the backend name, *before* the metrics snapshot so the
-  // counters printed below include it.
-  const std::string lp_backend = advisor.Explain(q).lp_backend;
   const AdvisorMetrics m = advisor.metrics();
   std::printf(
       "\nadvisor: %llu estimates in %llu batches over %zu compiled "
       "structures (hits %llu / misses %llu); eval paths: witness=%llu "
-      "warm=%llu cold=%llu; lp backend: %s\n",
+      "warm=%llu cold=%llu\n",
       static_cast<unsigned long long>(m.estimates),
       static_cast<unsigned long long>(m.batch_calls),
       advisor.CompiledCacheSize(),
@@ -177,6 +174,6 @@ int main() {
       static_cast<unsigned long long>(m.compiled_misses),
       static_cast<unsigned long long>(m.witness_hits),
       static_cast<unsigned long long>(m.warm_resolves),
-      static_cast<unsigned long long>(m.cold_solves), lp_backend.c_str());
+      static_cast<unsigned long long>(m.cold_solves));
   return 0;
 }

@@ -54,19 +54,21 @@ namespace lpb {
 
 struct EngineOptions {
   // Materialize every elemental inequality when n <= this; otherwise run
-  // the cutting-plane loop. NOTE: the dense-tableau simplex grinds on the
-  // extremely degenerate relaxations the cutting plane produces beyond
-  // n ≈ 7, so the cutting-plane mode is best treated as experimental for
-  // larger n; every workload in the paper either fits the full lattice
-  // (n <= 8, arbitrary statistics) or uses simple statistics, where the
-  // normal-polymatroid engine is exact (Theorem 6.1) and fast to n = 20.
+  // the cutting-plane loop. The one-shot PolymatroidBound solves each cut
+  // round cold on the dense tableau (SolveLp), which grinds on the
+  // extremely degenerate relaxations past n ≈ 7; the compiled Γn engine
+  // (bounds/bound_engine.h) runs the same loop on the revised simplex with
+  // warm cut rounds and is the one to use there. Every workload in the
+  // paper either fits the full lattice (n <= 8, arbitrary statistics) or
+  // uses simple statistics, where the normal-polymatroid engine is exact
+  // (Theorem 6.1) and fast to n = 20.
   int full_lattice_max_n = 8;
   int max_cut_rounds = 500;
   int cuts_per_round = 256;
   double feasibility_eps = 1e-7;
-  // LP solver configuration, including the backend (dense tableau vs
-  // sparse revised simplex; see lp/tableau.h). The revised backend is what
-  // makes cutting-plane Γn compiles tractable past n ≈ 7.
+  // LP solver configuration (lp/simplex.h): tolerances and iteration
+  // limit for both solvers, plus the pricing rule, update budget, SIMD
+  // mode and cut warm starts of the compiled path's revised simplex.
   SimplexOptions simplex;
 };
 
@@ -86,11 +88,8 @@ struct BoundResult {
   // How the underlying LP was evaluated. Always kCold for the one-shot
   // entry points; CompiledBound::Evaluate reports witness/warm reuse here.
   LpEvalPath eval_path = LpEvalPath::kCold;
-  // Which LP backend served this bound (dense tableau or revised simplex);
-  // surfaced through CardinalityAdvisor::Explain.
-  LpBackendKind lp_backend = LpBackendKind::kDense;
   // Which pricing rule the LP's primal phases ran (always kDantzig from
-  // the dense backend).
+  // the one-shot entry points).
   PricingRule lp_pricing = PricingRule::kDantzig;
   // Solver pivot/update/refactorization counters, summed over every LP
   // call this evaluation made (unlike lp_iterations, which reports the

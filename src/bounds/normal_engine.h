@@ -31,7 +31,7 @@ struct NormalBoundResult {
 
 // Computes max h(X) over normal polymatroids satisfying the statistics.
 // If `require_simple` (default), asserts AllSimple(stats). `simplex`
-// selects the LP solver configuration/backend (lp/simplex.h).
+// configures the one-shot LP solve (lp/simplex.h).
 NormalBoundResult NormalPolymatroidBound(
     int n, const std::vector<ConcreteStatistic>& stats,
     bool require_simple = true, const SimplexOptions& simplex = {});

@@ -1,7 +1,9 @@
 #include "estimator/advisor.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "bounds/normal_engine.h"
@@ -32,7 +34,21 @@ struct StatRequest {
   Conditional sigma;
   bool cardinality = false;  // emit only the p == 1 norm (ℓ1 of deg(V|∅))
   int guard_atom = -1;
+  int arity = 0;  // the atom's variable count, checked against the key's
 };
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+// The arity of a catalog relation, or -1 when the catalog has none by that
+// name. A norm miss computes only for an atom of its relation's arity:
+// without the check Catalog::Get dereferences end() for an unknown
+// relation, and degree extraction reads past the row for an atom wider
+// than its relation. Only misses look the catalog up; the store keeps the
+// relation's arity with each entry, so a hit costs one int compare (a
+// narrower atom shares keys with a well-formed one: R(X) and R(X, X)).
+int RelationArity(const Catalog& catalog, const std::string& relation) {
+  return catalog.Has(relation) ? catalog.Get(relation).arity() : -1;
+}
 
 std::vector<StatRequest> EnumerateStatRequests(const Query& query) {
   std::vector<StatRequest> requests;
@@ -47,6 +63,7 @@ std::vector<StatRequest> EnumerateStatRequests(const Query& query) {
       r.sigma = {0, atom_vars};
       r.cardinality = true;
       r.guard_atom = a;
+      r.arity = static_cast<int>(atom.vars.size());
       requests.push_back(std::move(r));
     }
 
@@ -59,6 +76,7 @@ std::vector<StatRequest> EnumerateStatRequests(const Query& query) {
       r.key = {atom.relation, ColumnsOf(atom, u), ColumnsOf(atom, rest)};
       r.sigma = {u, rest};
       r.guard_atom = a;
+      r.arity = static_cast<int>(atom.vars.size());
       requests.push_back(std::move(r));
     }
   }
@@ -92,41 +110,47 @@ CardinalityAdvisor::CardinalityAdvisor(const Catalog& catalog,
       norms_(options_.norm_cache),
       compiled_(std::make_shared<const CompiledMap>()) {}
 
-std::vector<double> CardinalityAdvisor::CachedNorms(
-    const std::string& relation, const std::vector<int>& u_cols,
-    const std::vector<int>& v_cols) {
-  ShardedNormCache::Key key{relation, u_cols, v_cols};
+bool CardinalityAdvisor::CachedNorms(const ShardedNormCache::Key& key,
+                                     int arity, std::vector<double>& norms) {
   ShardedNormCache::Lookup lookup = norms_.Get(key);
-  if (lookup.found) return std::move(lookup.norms);
+  if (lookup.found) {
+    if (lookup.arity != arity) return false;
+    norms = std::move(lookup.norms);
+    return true;
+  }
+  if (RelationArity(catalog_, std::get<0>(key)) != arity) return false;
   // Compute outside the shard lock: degree-sequence extraction is
   // O(N log N) and must not serialize concurrent estimators. A racing
   // thread may compute the same entry; both arrive at identical values, so
   // last-write-wins is harmless. Put refuses the insert if an Invalidate
   // ran meanwhile (the norms may reflect pre-update data — serve them for
   // this call but do not cache).
-  const DegreeSequence deg =
-      ComputeDegreeSequence(catalog_.Get(relation), u_cols, v_cols);
-  std::vector<double> norms;
+  const DegreeSequence deg = ComputeDegreeSequence(
+      catalog_.Get(std::get<0>(key)), std::get<1>(key), std::get<2>(key));
+  norms.clear();
   norms.reserve(options_.norms.size());
   for (double p : options_.norms) norms.push_back(deg.Log2NormP(p));
-  norms_.Put(key, norms, lookup.generation);
-  return norms;
+  norms_.Put(key, norms, lookup.generation, arity);
+  return true;
 }
 
-std::vector<ConcreteStatistic> CardinalityAdvisor::AssembleStatistics(
-    const Query& query) {
-  std::vector<ConcreteStatistic> stats;
+bool CardinalityAdvisor::AssembleStatistics(
+    const Query& query, std::vector<ConcreteStatistic>& stats) {
+  stats.clear();
+  std::vector<double> norms;
   for (const StatRequest& request : EnumerateStatRequests(query)) {
-    const std::vector<double> norms =
-        CachedNorms(std::get<0>(request.key), std::get<1>(request.key),
-                    std::get<2>(request.key));
+    if (!CachedNorms(request.key, request.arity, norms)) {
+      stats.clear();
+      return false;
+    }
     AppendStats(request, norms, options_.norms, stats);
   }
-  return stats;
+  return true;
 }
 
 std::vector<std::vector<ConcreteStatistic>>
-CardinalityAdvisor::AssembleStatisticsBatch(std::span<const Query> queries) {
+CardinalityAdvisor::AssembleStatisticsBatch(std::span<const Query> queries,
+                                            std::vector<bool>* valid) {
   // Enumerate every query's degree-sequence lookups and dedup the keys
   // across the batch (first-appearance order): under admission batching
   // the batch mixes a few hot templates, so most requests resolve to a
@@ -154,20 +178,46 @@ CardinalityAdvisor::AssembleStatisticsBatch(std::span<const Query> queries) {
   // computed values, exactly like the scalar path).
   std::vector<ShardedNormCache::Lookup> lookups = norms_.GetBatch(distinct);
   std::vector<ShardedNormCache::PutItem> puts;
+  // Per key, its relation's arity (see RelationArity): a hit returns the
+  // arity stored with the entry, a miss looks it up. Each request is
+  // checked against its key's below, and a missed key that names no
+  // relation or a column past the relation's last gets no norms.
+  std::vector<int> key_arity(distinct.size());
   for (size_t s = 0; s < distinct.size(); ++s) {
-    if (lookups[s].found) continue;
+    if (lookups[s].found) {
+      key_arity[s] = lookups[s].arity;
+      continue;
+    }
     const ShardedNormCache::Key& key = distinct[s];
+    const int arity = RelationArity(catalog_, std::get<0>(key));
+    key_arity[s] = arity;
+    const auto past_end = [arity](int col) { return col >= arity; };
+    if (arity < 0 || std::any_of(std::get<1>(key).begin(),
+                                 std::get<1>(key).end(), past_end) ||
+        std::any_of(std::get<2>(key).begin(), std::get<2>(key).end(),
+                    past_end)) {
+      continue;
+    }
     const DegreeSequence deg = ComputeDegreeSequence(
         catalog_.Get(std::get<0>(key)), std::get<1>(key), std::get<2>(key));
     std::vector<double>& norms = lookups[s].norms;
     norms.reserve(options_.norms.size());
     for (double p : options_.norms) norms.push_back(deg.Log2NormP(p));
-    puts.push_back({key, norms, lookups[s].generation});
+    puts.push_back({key, norms, lookups[s].generation, arity});
   }
   if (!puts.empty()) norms_.PutBatch(std::move(puts));
 
   std::vector<std::vector<ConcreteStatistic>> out(queries.size());
+  if (valid != nullptr) valid->assign(queries.size(), true);
   for (size_t i = 0; i < queries.size(); ++i) {
+    bool ok = true;
+    for (size_t j = 0; j < requests[i].size() && ok; ++j) {
+      ok = key_arity[slots[i][j]] == requests[i][j].arity;
+    }
+    if (!ok) {
+      if (valid != nullptr) (*valid)[i] = false;
+      continue;
+    }
     for (size_t j = 0; j < requests[i].size(); ++j) {
       AppendStats(requests[i][j], lookups[slots[i][j]].norms, options_.norms,
                   out[i]);
@@ -243,10 +293,6 @@ void CardinalityAdvisor::RecordEval(const BoundResult& result) {
     lp_ft_updates_.fetch_add(static_cast<uint64_t>(stats.ft_updates),
                              std::memory_order_relaxed);
   }
-  if (stats.eta_updates > 0) {
-    lp_eta_updates_.fetch_add(static_cast<uint64_t>(stats.eta_updates),
-                              std::memory_order_relaxed);
-  }
   if (stats.devex_resets > 0) {
     lp_devex_resets_.fetch_add(static_cast<uint64_t>(stats.devex_resets),
                                std::memory_order_relaxed);
@@ -294,7 +340,8 @@ double CardinalityAdvisor::EstimateLog2(const Query& query) {
     estimates_.fetch_add(1, std::memory_order_relaxed);
     return 0.0;
   }
-  auto stats = AssembleStatistics(query);
+  std::vector<ConcreteStatistic> stats;
+  if (!AssembleStatistics(query, stats)) return kNaN;
   return EvaluateCompiled(query.num_vars(), stats, /*want_h_opt=*/false)
       .log2_bound;
 }
@@ -317,7 +364,10 @@ std::vector<double> CardinalityAdvisor::EstimateLog2Batch(
     estimates_.fetch_add(log_b_batch.size(), std::memory_order_relaxed);
     return out;
   }
-  const auto stats = AssembleStatistics(query);
+  std::vector<ConcreteStatistic> stats;
+  if (!AssembleStatistics(query, stats)) {
+    return std::vector<double>(log_b_batch.size(), kNaN);
+  }
   const BoundStructure structure = StructureOf(query.num_vars(), stats);
 
   // Callers hand-construct these vectors, so enforce the alignment
@@ -366,8 +416,9 @@ std::vector<double> CardinalityAdvisor::EstimateLog2Batch(
   batch_probes_.fetch_add(queries.size(), std::memory_order_relaxed);
   // Batched front half: all queries' statistics assembled through one
   // norm-store GetBatch/PutBatch round (keys deduped across the batch).
+  std::vector<bool> valid;
   const std::vector<std::vector<ConcreteStatistic>> all_stats =
-      AssembleStatisticsBatch(queries);
+      AssembleStatisticsBatch(queries, &valid);
   // Group queries by compiled structure (first-appearance order) so every
   // group pays one structure lookup and one per-bound lock, and its value
   // vectors ride the batch path together.
@@ -379,10 +430,16 @@ std::vector<double> CardinalityAdvisor::EstimateLog2Batch(
   };
   std::vector<Group> groups;
   std::map<std::string, size_t> group_of;
+  std::vector<double> out(queries.size(), 0.0);
   for (size_t i = 0; i < queries.size(); ++i) {
     if (queries[i].num_atoms() == 0) {
       // Empty conjunction: log2 1 = 0, no structure to compile.
       estimates_.fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
+    if (!valid[i]) {
+      // A bad atom: not estimated, and no other query's group is touched.
+      out[i] = kNaN;
       continue;
     }
     const std::vector<ConcreteStatistic>& stats = all_stats[i];
@@ -397,7 +454,6 @@ std::vector<double> CardinalityAdvisor::EstimateLog2Batch(
     group.values.push_back(ValuesOf(stats));
   }
 
-  std::vector<double> out(queries.size(), 0.0);
   for (const Group& group : groups) {
     std::shared_ptr<CompiledEntry> entry =
         LookupOrCompile(group.structure, group.key);
@@ -426,12 +482,15 @@ std::vector<double> CardinalityAdvisor::EstimateBatch(
 CardinalityAdvisor::Explanation CardinalityAdvisor::Explain(
     const Query& query) {
   Explanation out;
-  out.stats = AssembleStatistics(query);
+  if (!AssembleStatistics(query, out.stats)) {
+    out.bound.log2_bound = kNaN;
+    out.metrics = metrics();
+    return out;
+  }
   for (ConcreteStatistic& s : out.stats) s.label = ToString(s, query);
   out.bound =
       EvaluateCompiled(query.num_vars(), out.stats, /*want_h_opt=*/true);
   out.metrics = metrics();
-  out.lp_backend = LpBackendName(out.bound.lp_backend);
   return out;
 }
 
@@ -461,7 +520,6 @@ AdvisorMetrics CardinalityAdvisor::metrics() const {
   m.lp_refactorizations =
       lp_refactorizations_.load(std::memory_order_relaxed);
   m.lp_ft_updates = lp_ft_updates_.load(std::memory_order_relaxed);
-  m.lp_eta_updates = lp_eta_updates_.load(std::memory_order_relaxed);
   m.lp_devex_resets = lp_devex_resets_.load(std::memory_order_relaxed);
   m.lp_warm_cut_rounds = lp_warm_cut_rounds_.load(std::memory_order_relaxed);
   m.lp_dual_repair_pivots =

@@ -22,7 +22,7 @@
 // for thousands of what-if estimates against the same compiled structure.
 // EstimateLog2Batch amortizes the per-call machinery — statistics
 // assembly, structure lookup, and the per-bound mutex are paid once per
-// batch, and the value vectors flow through the LP backend's multi-RHS
+// batch, and the value vectors flow through the compiled LP's multi-RHS
 // resolve (one cached LU factorization, shared dual witness) instead of
 // one scalar cascade per probe.
 //
@@ -96,13 +96,12 @@ struct AdvisorMetrics {
   uint64_t norm_shard_locks = 0;
   // LP solver work behind the estimates, summed from BoundResult::lp_stats
   // (lp/simplex.h): simplex pivots across all phases, basis
-  // refactorizations, Forrest–Tomlin vs product-form eta updates taken,
-  // and Devex reference resets. bench_throughput surfaces these so the CI
+  // refactorizations, Forrest–Tomlin updates taken, and Devex reference
+  // resets. bench_throughput surfaces these so the CI
   // perf gate can assert on iteration counts, not just wall-clock.
   uint64_t lp_pivots = 0;
   uint64_t lp_refactorizations = 0;
   uint64_t lp_ft_updates = 0;
-  uint64_t lp_eta_updates = 0;
   uint64_t lp_devex_resets = 0;
   // Cut-growth accounting for the Γn cutting-plane engine: rounds whose new
   // cut rows were appended onto the live basis (vs rebuilt cold), the dual
@@ -122,6 +121,12 @@ class CardinalityAdvisor {
 
   // log2 upper bound on |Q(D)|; +infinity if the statistics cannot bound
   // the query (should not happen for full CQs with maintained norms).
+  // Quiet NaN when an atom names a relation the catalog does not have, or
+  // has a different arity than its relation; such a query is not
+  // estimated and counts in no metric. Only a statistic's first
+  // computation consults the catalog; the store keeps the relation's
+  // arity with it, so a cached statistic costs one int compare. The same
+  // holds for every entry point below.
   double EstimateLog2(const Query& query);
 
   // Upper bound in linear space (2^EstimateLog2, saturating).
@@ -156,22 +161,22 @@ class CardinalityAdvisor {
   // touched cache shard's mutex is visited once per batch instead of once
   // per statistic. Per query the returned statistics are bitwise those of
   // the scalar assembly the Explain path performs (same enumeration
-  // order, same norm computation). A 0-atom query yields an empty vector.
+  // order, same norm computation). A 0-atom query yields an empty vector,
+  // and so does a query with a bad atom (see EstimateLog2); when `valid`
+  // is given it receives one flag per query telling the two apart.
   std::vector<std::vector<ConcreteStatistic>> AssembleStatisticsBatch(
-      std::span<const Query> queries);
+      std::span<const Query> queries, std::vector<bool>* valid = nullptr);
 
   // Full result (certificate weights, optimal polymatroid) plus the
   // statistics it was computed from and a metrics snapshot taken after the
   // call — bound.eval_path says whether this particular estimate reused
-  // the cached witness, warm-resolved, or solved cold, and lp_backend
-  // names the LP solver backend ("dense" or "revised", lp/tableau.h;
-  // selected via AdvisorOptions::engine.simplex.backend or
-  // LPB_LP_BACKEND) that served it.
+  // a cached witness, warm-resolved, or solved cold, and bound.lp_stats
+  // what the LP solver did for it. A query with a bad atom yields
+  // bound.log2_bound = NaN and no statistics.
   struct Explanation {
     BoundResult bound;
     std::vector<ConcreteStatistic> stats;
     AdvisorMetrics metrics;
-    std::string lp_backend;
   };
   Explanation Explain(const Query& query);
 
@@ -201,14 +206,20 @@ class CardinalityAdvisor {
     std::unique_ptr<CompiledBound> bound;
   };
 
-  // Cached log2 norms for one degree sequence, aligned with options_.norms.
-  // Returns by value: the copy keeps the caller independent of concurrent
-  // Invalidate calls and LRU evictions.
-  std::vector<double> CachedNorms(const std::string& relation,
-                                  const std::vector<int>& u_cols,
-                                  const std::vector<int>& v_cols);
+  // Cached log2 norms for one degree sequence, aligned with options_.norms,
+  // copied into `norms` (the copy keeps the caller independent of
+  // concurrent Invalidate calls and LRU evictions). Returns false when
+  // the atom behind the key (`arity` variables over relation get<0>(key))
+  // does not match the catalog: on a hit against the arity stored with
+  // the entry, on a miss against the catalog (computing and caching
+  // nothing).
+  bool CachedNorms(const ShardedNormCache::Key& key, int arity,
+                   std::vector<double>& norms);
 
-  std::vector<ConcreteStatistic> AssembleStatistics(const Query& query);
+  // The query's statistics into `stats`; false (and `stats` empty) when
+  // an atom does not match the catalog (see CachedNorms).
+  bool AssembleStatistics(const Query& query,
+                          std::vector<ConcreteStatistic>& stats);
 
   // The compiled-bound map is immutable once published: every write copies
   // the current map and swaps the snapshot pointer (RCU). Readers hold the
@@ -255,7 +266,6 @@ class CardinalityAdvisor {
   std::atomic<uint64_t> lp_pivots_{0};
   std::atomic<uint64_t> lp_refactorizations_{0};
   std::atomic<uint64_t> lp_ft_updates_{0};
-  std::atomic<uint64_t> lp_eta_updates_{0};
   std::atomic<uint64_t> lp_devex_resets_{0};
   std::atomic<uint64_t> lp_warm_cut_rounds_{0};
   std::atomic<uint64_t> lp_dual_repair_pivots_{0};

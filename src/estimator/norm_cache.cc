@@ -60,6 +60,7 @@ ShardedNormCache::Lookup ShardedNormCache::GetLocked(Shard& shard,
   ++shard.hits;
   out.found = true;
   out.norms = it->second.norms;
+  out.arity = it->second.arity;
   return out;
 }
 
@@ -72,7 +73,7 @@ ShardedNormCache::Lookup ShardedNormCache::Get(const Key& key) {
 
 void ShardedNormCache::PutLocked(Shard& shard, const Key& key,
                                  std::vector<double> norms,
-                                 uint64_t generation) {
+                                 uint64_t generation, int arity) {
   auto gen_it = shard.relation_generation.find(std::get<0>(key));
   const uint64_t current =
       gen_it == shard.relation_generation.end() ? 0 : gen_it->second;
@@ -87,6 +88,7 @@ void ShardedNormCache::PutLocked(Shard& shard, const Key& key,
   Entry entry;
   entry.bytes = EntryBytes(key, norms);
   entry.norms = std::move(norms);
+  entry.arity = arity;
   entry.lru_it = shard.lru.insert(shard.lru.end(), key);
   shard.bytes += entry.bytes;
   shard.map.emplace(key, std::move(entry));
@@ -103,11 +105,11 @@ void ShardedNormCache::PutLocked(Shard& shard, const Key& key,
 }
 
 void ShardedNormCache::Put(const Key& key, std::vector<double> norms,
-                           uint64_t generation) {
+                           uint64_t generation, int arity) {
   Shard& shard = ShardOf(std::get<0>(key));
   std::lock_guard<std::mutex> lock(shard.mu);
   ++shard.lock_acquisitions;
-  PutLocked(shard, key, std::move(norms), generation);
+  PutLocked(shard, key, std::move(norms), generation, arity);
 }
 
 std::vector<ShardedNormCache::Lookup> ShardedNormCache::GetBatch(
@@ -143,7 +145,7 @@ void ShardedNormCache::PutBatch(std::vector<PutItem> items) {
     ++shard.lock_acquisitions;
     for (size_t i : by_shard[s]) {
       PutLocked(shard, items[i].key, std::move(items[i].norms),
-                items[i].generation);
+                items[i].generation, items[i].arity);
     }
   }
 }

@@ -60,6 +60,10 @@ class ShardedNormCache {
   struct Lookup {
     bool found = false;
     std::vector<double> norms;  // valid when found
+    // The arity Put recorded with the entry (valid when found): the
+    // advisor stores its relation's, so a hit checks an atom's arity
+    // without a catalog lookup.
+    int arity = -1;
     // The key's relation generation observed under the lock; pass to Put.
     uint64_t generation = 0;
   };
@@ -74,8 +78,10 @@ class ShardedNormCache {
   // Inserts (or refreshes) the entry unless the key's relation generation
   // no longer equals `generation` — an invalidation of *that relation*
   // ran while the caller computed — then evicts LRU entries until the
-  // shard is back under its byte share.
-  void Put(const Key& key, std::vector<double> norms, uint64_t generation);
+  // shard is back under its byte share. `arity` is stored with the entry
+  // and returned by later hits.
+  void Put(const Key& key, std::vector<double> norms, uint64_t generation,
+           int arity = -1);
 
   // Batched lookup: keys are grouped by shard and each touched shard's
   // mutex is taken exactly once for the whole batch (LockAcquisitions
@@ -94,6 +100,7 @@ class ShardedNormCache {
     Key key;
     std::vector<double> norms;
     uint64_t generation = 0;
+    int arity = -1;
   };
   void PutBatch(std::vector<PutItem> items);
 
@@ -115,6 +122,7 @@ class ShardedNormCache {
  private:
   struct Entry {
     std::vector<double> norms;
+    int arity = -1;
     std::list<Key>::iterator lru_it;  // position in the shard's LRU list
     size_t bytes = 0;
   };
@@ -138,7 +146,7 @@ class ShardedNormCache {
   // sequence because they run the same code). Caller holds shard.mu.
   Lookup GetLocked(Shard& shard, const Key& key);
   void PutLocked(Shard& shard, const Key& key, std::vector<double> norms,
-                 uint64_t generation);
+                 uint64_t generation, int arity);
 
   size_t ShardIndexOf(const std::string& relation) const;
   Shard& ShardOf(const std::string& relation);

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "lp/solver_common.h"
+
 namespace lpb {
 namespace {
 
@@ -17,21 +19,11 @@ DenseTableau::DenseTableau(const LpProblem& problem,
       options_(options),
       kernels_(&GetLpKernels(ResolveSimdMode(options))) {}
 
-DenseTableau::Scalar DenseTableau::NormalizedRhs(
-    int i, const std::vector<double>& rhs) const {
-  return NormalizedRhsEntry(problem_, row_sign_, options_.perturb, i, rhs);
-}
-
 void DenseTableau::Build(const std::vector<double>& rhs) {
   const int n = problem_.num_vars();
   rows_ = problem_.num_constraints();
-  has_basis_ = false;
-  cached_duals_.clear();
-  result_cache_valid_ = false;
-  reprice_valid_ = false;
-  witness_scan_ok_ = false;
 
-  // Row normalization shared with the revised backend (lp/lp_backend.h):
+  // Row normalization shared with the revised simplex (lp/solver_common.h):
   // from it we know how many slack and artificial columns are needed.
   NormalizedRows normalized = NormalizeRows(problem_, rhs);
   const std::vector<LpSense>& sense = normalized.sense;
@@ -41,24 +33,10 @@ void DenseTableau::Build(const std::vector<double>& rhs) {
   cols_ = first_art_ + normalized.num_art;
   stride_ = cols_ + 1;
 
-  // One flat block from the arena instead of a vector per row. Reset first:
-  // everything below is rebuilt, and the re-pricing scratch is invalid
-  // anyway (reprice_valid_ cleared above), so reclaiming the chunks is
-  // safe — repeated Builds of the same problem shape never hit malloc.
+  // One flat block from the arena instead of a vector per row.
   arena_.Reset();
   t_ = arena_.AllocArray<Scalar>(static_cast<std::size_t>(rows_) * stride_);
   std::fill(t_, t_ + static_cast<std::size_t>(rows_) * stride_, Scalar{0.0});
-  problem_rhs_ = arena_.AllocArray<double>(rows_);
-  perturb_term_ = arena_.AllocArray<double>(rows_);
-  norm_b_ = arena_.AllocArray<double>(rows_);
-  last_b_ = arena_.AllocArray<double>(rows_);
-  reprice_ = arena_.AllocArray<Scalar>(rows_);
-  for (int i = 0; i < rows_; ++i) {
-    problem_rhs_[i] = problem_.constraint(i).rhs;
-    // The graded perturbation of NormalizedRhsEntry, precomputed so the
-    // re-pricing normalization is one vectorizable sign*b + term pass.
-    perturb_term_[i] = options_.perturb * (1 + i % 101);
-  }
 
   basis_.assign(rows_, kNoCol);
   dual_col_.assign(rows_, kNoCol);
@@ -69,7 +47,8 @@ void DenseTableau::Build(const std::vector<double>& rhs) {
     const LpConstraint& c = problem_.constraint(i);
     Scalar* row = Row(i);
     for (const LpTerm& term : c.terms) row[term.var] += row_sign_[i] * term.coef;
-    row[cols_] = NormalizedRhs(i, rhs);
+    row[cols_] = NormalizedRhsEntry(problem_, row_sign_, options_.perturb, i,
+                                    rhs);
 
     switch (sense[i]) {
       case LpSense::kLe: {
@@ -115,8 +94,6 @@ void DenseTableau::ComputeReducedCosts(const std::vector<double>& cost) {
 }
 
 void DenseTableau::Pivot(int row, int col) {
-  reprice_valid_ = false;  // B changes: incremental re-pricing is stale
-  witness_scan_ok_ = false;
   Scalar* prow = Row(row);
   const Scalar p = prow[col];
   const Scalar inv = 1.0L / p;
@@ -209,45 +186,6 @@ bool DenseTableau::RunPhase(const std::vector<double>& cost, bool phase_two) {
   }
 }
 
-DenseTableau::DualOutcome DenseTableau::RunDualSimplex() {
-  const double eps = options_.eps;
-  while (true) {
-    if (iterations_ >= max_iterations_) return DualOutcome::kIterationLimit;
-
-    // Leaving row: most negative basic value.
-    int leave = -1;
-    Scalar most = -eps;
-    for (int i = 0; i < rows_; ++i) {
-      if (Row(i)[cols_] < most) {
-        most = Row(i)[cols_];
-        leave = i;
-      }
-    }
-    if (leave == -1) return DualOutcome::kOptimal;  // primal feasible
-
-    // Entering column: dual ratio test over eligible (negative) entries of
-    // the leaving row. Reduced costs are <= 0 at a dual-feasible basis, so
-    // the ratio reduced/a is >= 0; the minimum keeps dual feasibility.
-    // Artificial columns may not (re-)enter, matching phase 2.
-    ComputeReducedCosts(phase2_cost_);
-    int enter = kNoCol;
-    Scalar best_ratio = std::numeric_limits<Scalar>::infinity();
-    for (int j = 0; j < first_art_; ++j) {
-      const Scalar a = Row(leave)[j];
-      if (a >= -eps) continue;
-      const Scalar ratio = reduced_[j] / a;
-      if (ratio < best_ratio - kLexEps) {
-        best_ratio = ratio;
-        enter = j;
-      }
-    }
-    if (enter == kNoCol) return DualOutcome::kInfeasible;  // dual ray
-    Pivot(leave, enter);
-    ++iterations_;
-    ++stats_.dual_pivots;
-  }
-}
-
 void DenseTableau::EvictArtificials() {
   for (int i = 0; i < rows_; ++i) {
     if (basis_[i] < first_art_) continue;
@@ -274,23 +212,10 @@ void DenseTableau::FillKernelStats() {
   }
 }
 
-LpResult DenseTableau::ExtractOptimal(LpEvalPath path, bool repeat) {
+LpResult DenseTableau::ExtractOptimal() {
   LpResult result;
   result.status = LpStatus::kOptimal;
   result.iterations = iterations_;
-  result.path = path;
-  if (repeat && result_cache_valid_) {
-    // The RHS column is bitwise-unchanged since the extraction that filled
-    // the cache, so x/objective/duals here are the cached ones by
-    // construction — serve them as flat copies and skip the tableau walk.
-    result.x = cached_x_;
-    result.objective = cached_objective_;
-    result.duals = cached_duals_;
-    has_basis_ = true;
-    FillKernelStats();
-    result.stats = stats_;
-    return result;
-  }
   result.x.assign(problem_.num_vars(), 0.0);
   for (int i = 0; i < rows_; ++i) {
     if (basis_[i] < problem_.num_vars()) {
@@ -300,24 +225,13 @@ LpResult DenseTableau::ExtractOptimal(LpEvalPath path, bool repeat) {
   result.objective =
       LpDotD(*kernels_, phase2_cost_.data(), result.x.data(),
              problem_.num_vars());
-  cached_x_ = result.x;
-  cached_objective_ = result.objective;
-  result_cache_valid_ = true;
-
-  if (path == LpEvalPath::kWitness && !cached_duals_.empty()) {
-    // Same basis, same cost: the duals are the previous solve's.
-    result.duals = cached_duals_;
-  } else {
-    // Duals: the reduced cost under the +e_i column of constraint i is -y_i.
-    ComputeReducedCosts(phase2_cost_);
-    result.duals.assign(rows_, 0.0);
-    for (int i = 0; i < rows_; ++i) {
-      result.duals[i] =
-          static_cast<double>(-reduced_[dual_col_[i]]) * row_sign_[i];
-    }
-    cached_duals_ = result.duals;
+  // Duals: the reduced cost under the +e_i column of constraint i is -y_i.
+  ComputeReducedCosts(phase2_cost_);
+  result.duals.assign(rows_, 0.0);
+  for (int i = 0; i < rows_; ++i) {
+    result.duals[i] =
+        static_cast<double>(-reduced_[dual_col_[i]]) * row_sign_[i];
   }
-  has_basis_ = true;
   FillKernelStats();
   result.stats = stats_;
   return result;
@@ -337,12 +251,8 @@ LpResult DenseTableau::Failure(LpStatus status) {
 }
 
 LpResult DenseTableau::Solve(const std::vector<double>& rhs) {
-  stats_.ResetPivots();
+  stats_ = {};
   kernel_base_ = g_lp_kernel_counters;
-  return SolveInternal(rhs);
-}
-
-LpResult DenseTableau::SolveInternal(const std::vector<double>& rhs) {
   iterations_ = 0;
   Build(rhs);
   max_iterations_ = options_.max_iterations > 0
@@ -375,237 +285,7 @@ LpResult DenseTableau::SolveInternal(const std::vector<double>& rhs) {
   if (unbounded_) {
     return Failure(LpStatus::kUnbounded);
   }
-  return ExtractOptimal(LpEvalPath::kCold);
-}
-
-void DenseTableau::RepriceRhs(const std::vector<double>& rhs) {
-  // Normalize the whole RHS in one vectorized pass (this is the historical
-  // per-entry NormalizedRhsEntry — all-double arithmetic — with the graded
-  // perturbation precomputed in Build). Profiling showed the per-entry
-  // cross-TU call was ~13% of the batch path on its own.
-  const double* b = rhs.empty() ? problem_rhs_ : rhs.data();
-  LpNormalizeRhsD(*kernels_, row_sign_.data(), b, perturb_term_, norm_b_,
-                  rows_);
-
-  // Unchanged-RHS fast exit: bitwise-equal normalized RHS means the
-  // tableau's RHS column is already B⁻¹b — no deltas, no mirror pass, and
-  // no tick of the drift interval (an untouched column accumulates none).
-  if (reprice_valid_ && LpEqualD(*kernels_, norm_b_, last_b_, rows_)) {
-    rhs_unchanged_ = true;
-    return;
-  }
-  rhs_unchanged_ = false;
-
-  // Column dual_col_[j] of the current tableau is the j-th column of B⁻¹.
-  if (reprice_valid_ && reprices_since_full_ < kFullRepriceInterval) {
-    // Incremental: B⁻¹b_new = B⁻¹b_old + Σ_j Δ_j · (B⁻¹ e_j) over the rows
-    // whose normalized RHS actually moved — the k-statistic what-if probe
-    // costs O(rows × k). Exact comparison is deliberate: an unchanged
-    // coordinate contributes an exact zero delta.
-    ++reprices_since_full_;
-    for (int j = 0; j < rows_; ++j) {
-      const double bj = norm_b_[j];
-      if (bj == last_b_[j]) continue;
-      const Scalar d = static_cast<Scalar>(bj) - static_cast<Scalar>(last_b_[j]);
-      last_b_[j] = bj;
-      LpGatherAxpyLd(reprice_, Row(0) + dual_col_[j], stride_, d, rows_);
-    }
-  } else {
-    // Full re-price: only rows with a nonzero normalized RHS contribute —
-    // in the bound LPs that is just the statistics rows, so this is a
-    // (rows × nnz(b')) multiply, not (rows × rows). Also the periodic
-    // refresh that squashes incremental-accumulation drift.
-    std::fill(reprice_, reprice_ + rows_, Scalar{0.0});
-    for (int j = 0; j < rows_; ++j) {
-      const double bj = norm_b_[j];
-      last_b_[j] = bj;
-      if (bj == 0.0) continue;
-      LpGatherAxpyLd(reprice_, Row(0) + dual_col_[j], stride_,
-                     static_cast<Scalar>(bj), rows_);
-    }
-    reprice_valid_ = true;
-    reprices_since_full_ = 0;
-  }
-  for (int i = 0; i < rows_; ++i) Row(i)[cols_] = reprice_[i];
-}
-
-LpResult DenseTableau::ResolveWithRhs(const std::vector<double>& rhs) {
-  kernel_base_ = g_lp_kernel_counters;
-  if (!has_basis_) {
-    stats_.ResetPivots();
-    return SolveInternal(rhs);
-  }
-  iterations_ = 0;
-  stats_.ResetPivots();
-  max_iterations_ = options_.max_iterations > 0
-                        ? options_.max_iterations
-                        : 50 * (rows_ + cols_) + 1000;
-
-  // Re-price the RHS column under the cached basis: the new basic solution
-  // is B⁻¹ b'_norm (incremental against the previous re-price when the
-  // basis is unchanged; see RepriceRhs).
-  RepriceRhs(rhs);
-  // Memoized scan: an unchanged RHS column that already passed the scan
-  // below passes it again — rescanning identical bits is pure overhead.
-  if (rhs_unchanged_ && witness_scan_ok_) {
-    return ExtractOptimal(LpEvalPath::kWitness, /*repeat=*/true);
-  }
-  bool feasible = true;
-  for (int i = 0; i < rows_; ++i) {
-    const Scalar fresh = Row(i)[cols_];
-    if (fresh < -options_.eps) feasible = false;
-    // A basic artificial forced away from zero means the cached basis
-    // cannot represent this RHS at all (a previously-redundant row became
-    // inconsistent); only a cold solve can decide feasibility.
-    if (basis_[i] >= first_art_ &&
-        std::abs(static_cast<double>(fresh)) > 1e-7) {
-      return SolveInternal(rhs);
-    }
-  }
-  if (feasible) {
-    // Witness reuse: the basis is still optimal; zero pivots needed.
-    witness_scan_ok_ = true;
-    return ExtractOptimal(LpEvalPath::kWitness);
-  }
-  witness_scan_ok_ = false;
-
-  switch (RunDualSimplex()) {
-    case DualOutcome::kOptimal:
-      return ExtractOptimal(LpEvalPath::kWarm);
-    case DualOutcome::kInfeasible:
-    case DualOutcome::kIterationLimit:
-      // A dual ray certifies primal infeasibility in exact arithmetic, but
-      // re-deriving it from a cold two-phase solve is cheap insurance
-      // against numerical drift in the warmed tableau — and the fallback
-      // also covers the (rare) dual-simplex stall.
-      return SolveInternal(rhs);
-  }
-  return SolveInternal(rhs);  // unreachable
-}
-
-bool DenseTableau::AddConstraintsWarm(const std::vector<LpConstraint>& rows,
-                                      const std::vector<double>& rhs,
-                                      LpResult& result) {
-  const int k = static_cast<int>(rows.size());
-  const int old_rows = rows_;
-  const int new_rows = old_rows + k;
-  if (k == 0 || !has_basis_ || first_art_ != cols_ ||
-      static_cast<int>(rhs.size()) != new_rows) {
-    return false;
-  }
-  // Every appended row must normalize to <= (the NormalizeRows flip rule:
-  // negate when b < 0, or when a >= row has b == 0) so its slack can enter
-  // the basis directly. Pure validation — state is untouched on decline.
-  std::vector<double> new_sign(k, 1.0);
-  for (int i = 0; i < k; ++i) {
-    const double b = rhs[old_rows + i];
-    LpSense s = rows[i].sense;
-    if (b < 0.0 || (s == LpSense::kGe && b == 0.0)) {
-      new_sign[i] = -1.0;
-      if (s == LpSense::kLe) {
-        s = LpSense::kGe;
-      } else if (s == LpSense::kGe) {
-        s = LpSense::kLe;
-      }
-    }
-    if (s != LpSense::kLe) return false;
-  }
-
-  // Commit point: from here every path produces a result (worst case an
-  // internal cold solve of the grown problem) and returns true.
-  kernel_base_ = g_lp_kernel_counters;
-  stats_.ResetPivots();
-  stats_.row_appends += k;
-
-  // Re-price the old RHS column against the caller's rhs while the old
-  // machinery is still sized for it — the incremental B⁻¹-column path when
-  // only a few statistics moved, exactly as a warm resolve would.
-  RepriceRhs(rhs);
-
-  const int old_cols = cols_;
-  const int old_stride = stride_;
-  for (int i = 0; i < k; ++i) {
-    problem_.AddConstraint(rows[i].terms, rows[i].sense, rows[i].rhs);
-    row_sign_.push_back(new_sign[i]);
-    basis_.push_back(old_cols + i);
-    dual_col_.push_back(old_cols + i);
-  }
-  rows_ = new_rows;
-  cols_ = old_cols + k;
-  first_art_ = cols_;
-  stride_ = cols_ + 1;
-  phase2_cost_.resize(cols_, 0.0);
-
-  // Re-layout the tableau with k more rows and a wider stride. The old
-  // block lives in the arena, so it is copied out before the Reset; old
-  // rows get zeros in the new slack columns (B_new⁻¹ is block lower
-  // triangular) and keep their RHS in the widened last column.
-  std::vector<Scalar> old_t(
-      t_, t_ + static_cast<std::size_t>(old_rows) * old_stride);
-  arena_.Reset();
-  t_ = arena_.AllocArray<Scalar>(static_cast<std::size_t>(rows_) * stride_);
-  std::fill(t_, t_ + static_cast<std::size_t>(rows_) * stride_, Scalar{0.0});
-  problem_rhs_ = arena_.AllocArray<double>(rows_);
-  perturb_term_ = arena_.AllocArray<double>(rows_);
-  norm_b_ = arena_.AllocArray<double>(rows_);
-  last_b_ = arena_.AllocArray<double>(rows_);
-  reprice_ = arena_.AllocArray<Scalar>(rows_);
-  for (int i = 0; i < rows_; ++i) {
-    problem_rhs_[i] = problem_.constraint(i).rhs;
-    perturb_term_[i] = options_.perturb * (1 + i % 101);
-  }
-  for (int i = 0; i < old_rows; ++i) {
-    const Scalar* src = old_t.data() + static_cast<std::size_t>(i) * old_stride;
-    Scalar* dst = Row(i);
-    std::copy(src, src + old_cols, dst);
-    dst[cols_] = src[old_cols];  // RHS moves to the widened last column
-  }
-  reprice_valid_ = false;
-  rhs_unchanged_ = false;
-  witness_scan_ok_ = false;
-  result_cache_valid_ = false;
-  cached_duals_.clear();
-
-  // Each new row enters as its raw normalized form — structural terms plus
-  // its unit slack — eliminated against the basic rows: the old basic
-  // columns are unit columns of the current tableau, so the sweep yields
-  // exactly row old_rows+i of B_new⁻¹·A_new. A negative resulting RHS is
-  // precisely a cut the old optimum violates.
-  for (int i = 0; i < k; ++i) {
-    Scalar* row = Row(old_rows + i);
-    for (const LpTerm& term : rows[i].terms) {
-      if (term.var >= 0 && term.var < problem_.num_vars()) {
-        row[term.var] += new_sign[i] * term.coef;
-      }
-    }
-    row[old_cols + i] = 1.0;
-    row[cols_] = NormalizedRhs(old_rows + i, rhs);
-    for (int r = 0; r < old_rows; ++r) {
-      const Scalar f = row[basis_[r]];
-      if (f == 0.0) continue;
-      LpSweepLd(row, Row(r), f, cols_ + 1);
-      row[basis_[r]] = 0.0;  // exact
-    }
-  }
-
-  iterations_ = 0;
-  unbounded_ = false;
-  max_iterations_ = options_.max_iterations > 0
-                        ? options_.max_iterations
-                        : 50 * (rows_ + cols_) + 1000;
-  const int dual_before = stats_.dual_pivots;
-  const DualOutcome outcome = RunDualSimplex();
-  stats_.dual_repair_pivots += stats_.dual_pivots - dual_before;
-  switch (outcome) {
-    case DualOutcome::kOptimal:
-      result = ExtractOptimal(LpEvalPath::kWarm);
-      return true;
-    case DualOutcome::kInfeasible:
-    case DualOutcome::kIterationLimit:
-      break;
-  }
-  result = SolveInternal(rhs);
-  return true;
+  return ExtractOptimal();
 }
 
 }  // namespace lpb

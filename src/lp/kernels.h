@@ -1,10 +1,10 @@
-// Dense inner-loop kernels of the LP backends, with runtime SIMD dispatch.
+// Dense inner-loop kernels of the LP solvers, with runtime SIMD dispatch.
 //
 // The batch estimate path is dominated by straight-line dense loops — RHS
 // normalization, B⁻¹ delta re-pricing, objective dots, pivot-row sweeps —
 // not by pivoting logic. This layer extracts those loops so they can be
 // (a) counted and cycle-timed per kernel (the perf gate pins a regression
-// to a kernel, not a backend), and (b) vectorized where the element type
+// to a kernel, not a solver), and (b) vectorized where the element type
 // allows it.
 //
 // == The bitwise contract ==
@@ -44,9 +44,9 @@
 // GetLpKernels(mode) returns the function table: the AVX2+FMA table when
 // the CPU supports both and the mode allows it, the scalar table
 // otherwise. Mode comes from SimplexOptions::simd, resolved against the
-// LPB_LP_SIMD environment variable by ResolveSimdMode (lp/lp_backend.h)
-// following the same kDefault-reads-env convention as the backend and
-// pricing knobs. AVX2 code is compiled with a per-function target
+// LPB_LP_SIMD environment variable by ResolveSimdMode (lp/solver_common.h)
+// following the same kDefault-reads-env convention as the pricing and
+// cut-warm-start knobs. AVX2 code is compiled with a per-function target
 // attribute, so the translation unit itself needs no -mavx2 and the
 // binary stays runnable on any x86-64 (and non-x86 builds simply have no
 // vector table).
@@ -198,9 +198,11 @@ inline void LpScaleLd(long double* v, long double inv, int n) {
   for (int j = 0; j < n; ++j) v[j] *= inv;
 }
 
-// out[i] += col[i * stride] * d for i in [0, n) — a B⁻¹ column of the
-// row-major dense tableau (stride = row length) folded into the re-priced
-// RHS.
+// out[i] += col[i * stride] * d for i in [0, n) — a strided column of a
+// row-major long-double block folded into a vector. No solver path calls
+// it since the dense tableau became cold-solve only (it re-priced RHS
+// columns through it); it stays in the table because the per-kernel call
+// and cycle report keeps a fixed set of rows.
 inline void LpGatherAxpyLd(long double* out, const long double* col,
                            int stride, long double d, int n) {
   LpKernelTimer timer(kLpKernelGather);

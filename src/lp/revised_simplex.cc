@@ -20,13 +20,10 @@ RevisedSimplex::RevisedSimplex(const LpProblem& problem,
     : problem_(problem),
       options_(options),
       pricing_(ResolveLpPricing(options)),
-      update_kind_(ResolveBasisUpdate(options)),
       kernels_(&GetLpKernels(ResolveSimdMode(options))) {
   LuOptions lu_options;
-  lu_options.forrest_tomlin =
-      update_kind_ == BasisUpdateKind::kForrestTomlin;
   lu_options.max_updates = options_.max_basis_updates;
-  lu_ = LuBasis(lu_options);
+  live_.lu = LuBasis(lu_options);
 }
 
 RevisedSimplex::Scalar RevisedSimplex::NormalizedRhs(
@@ -38,34 +35,11 @@ void RevisedSimplex::Build(const std::vector<double>& rhs) {
   const int n = problem_.num_vars();
   rows_ = problem_.num_constraints();
   has_basis_ = false;
-  cached_duals_.clear();
-  result_cache_valid_ = false;
-  binv_valid_.assign(rows_, 0);
-  InvalidateReprice();
+  LayoutScratch();
 
-  // Arena-backed re-pricing scratch: one Reset and a few pointer bumps per
-  // cold Build (the chunks are reused, so repeated Builds of the same
-  // shape never hit the allocator). The B⁻¹ pool is uninitialized on
-  // purpose — binv_valid_ gates every read.
-  arena_.Reset();
-  problem_rhs_ = arena_.AllocArray<double>(rows_);
-  perturb_term_ = arena_.AllocArray<double>(rows_);
-  norm_b_ = arena_.AllocArray<double>(rows_);
-  last_b_ = arena_.AllocArray<double>(rows_);
-  x_reprice_ = arena_.AllocArray<double>(rows_);
-  binv_pool_ =
-      arena_.AllocArray<double>(static_cast<std::size_t>(rows_) * rows_);
-  binv_block_ = arena_.AllocArray<Scalar>(static_cast<std::size_t>(rows_) *
-                                          kBinvBlockLanes);
-  for (int i = 0; i < rows_; ++i) {
-    problem_rhs_[i] = problem_.constraint(i).rhs;
-    // The graded perturbation of NormalizedRhsEntry, precomputed so RHS
-    // normalization is one vectorizable sign*b + term kernel pass.
-    perturb_term_[i] = options_.perturb * (1 + i % 101);
-  }
-
-  // Row normalization shared with the dense backend (lp/lp_backend.h) —
-  // backend parity depends on the two applying the identical transform.
+  // Row normalization shared with the dense solver (lp/solver_common.h) — the
+  // differential checks depend on the two applying the identical
+  // transform.
   NormalizedRows normalized = NormalizeRows(problem_, rhs);
   const std::vector<LpSense>& sense = normalized.sense;
   row_sign_ = std::move(normalized.row_sign);
@@ -84,14 +58,14 @@ void RevisedSimplex::Build(const std::vector<double>& rhs) {
   }
   for (int j = 0; j < n; ++j) a_.AppendColumn(std::move(structural[j]));
 
-  b_.assign(rows_, 0.0);
+  live_.b.assign(rows_, 0.0);
   std::vector<int> slack_col(rows_, kNoCol);
   std::vector<int> art_col(rows_, kNoCol);
   std::vector<double> slack_sign(rows_, 0.0);
   int next_slack = n;
   int next_art = first_art_;
   for (int i = 0; i < rows_; ++i) {
-    b_[i] = NormalizedRhs(i, rhs);
+    live_.b[i] = NormalizedRhs(i, rhs);
     switch (sense[i]) {
       case LpSense::kLe:
         slack_col[i] = next_slack++;
@@ -117,12 +91,12 @@ void RevisedSimplex::Build(const std::vector<double>& rhs) {
   // Starting basis: slack for <=, artificial for >= and = — the identity,
   // which both seeds a trivial factorization and starts the lexicographic
   // invariant (rows of [B⁻¹b | B⁻¹] positive).
-  basis_.assign(rows_, kNoCol);
-  in_basis_.assign(cols_, kNoCol);
+  live_.basis.assign(rows_, kNoCol);
+  live_.in_basis.assign(cols_, kNoCol);
   for (int i = 0; i < rows_; ++i) {
     const int bcol = art_col[i] != kNoCol ? art_col[i] : slack_col[i];
-    basis_[i] = bcol;
-    in_basis_[bcol] = i;
+    live_.basis[i] = bcol;
+    live_.in_basis[bcol] = i;
   }
   MarkBasisChanged();
 
@@ -131,37 +105,100 @@ void RevisedSimplex::Build(const std::vector<double>& rhs) {
 
   // Initial factorization of the identity starting basis — not counted as
   // a refactorization in stats_ (those measure re-work after the first).
-  if (!lu_.Factorize(a_, basis_)) {
+  if (!live_.lu.Factorize(a_, live_.basis)) {
     numerical_failure_ = true;
     return;
   }
-  x_basic_ = b_;
-  lu_.Ftran(x_basic_);
+  live_.x_basic = live_.b;
+  live_.lu.Ftran(live_.x_basic);
 }
 
 bool RevisedSimplex::Refactorize() {
   InvalidateReprice();
   ++stats_.refactorizations;
-  if (!lu_.Factorize(a_, basis_)) {
+  if (!live_.lu.Factorize(a_, live_.basis)) {
     numerical_failure_ = true;
     return false;
   }
-  x_basic_ = b_;
-  lu_.Ftran(x_basic_);
+  live_.x_basic = live_.b;
+  live_.lu.Ftran(live_.x_basic);
   return true;
 }
 
 void RevisedSimplex::InvalidateReprice() {
-  reprice_valid_ = false;
-  witness_scan_ok_ = false;
-  x_basic_stale_ = false;  // callers recompute x_basic_ from b_ directly
-  std::fill(binv_valid_.begin(), binv_valid_.end(), 0);
+  live_.reprice_valid = false;
+  live_.witness_scan_ok = false;
+  live_.x_basic_stale = false;  // callers recompute x_basic from b directly
+  std::fill(live_.binv_valid.begin(), live_.binv_valid.end(), 0);
+}
+
+void RevisedSimplex::LayoutScratch() {
+  // Arena-backed re-pricing scratch: one Reset and a few pointer bumps per
+  // cold Build or row append (the chunks are reused, so repeated Builds of
+  // the same shape never hit the allocator). The B⁻¹ pool is
+  // uninitialized on purpose — binv_valid gates every read. The second
+  // cached basis lives in the same arena and refers to the old matrix, so
+  // it goes too.
+  arena_.Reset();
+  problem_rhs_ = arena_.AllocArray<double>(rows_);
+  perturb_term_ = arena_.AllocArray<double>(rows_);
+  norm_b_ = arena_.AllocArray<double>(rows_);
+  live_.last_b = arena_.AllocArray<double>(rows_);
+  live_.x_reprice = arena_.AllocArray<double>(rows_);
+  live_.binv_pool =
+      arena_.AllocArray<double>(static_cast<std::size_t>(rows_) * rows_);
+  binv_block_ = arena_.AllocArray<Scalar>(static_cast<std::size_t>(rows_) *
+                                          kBinvBlockLanes);
+  for (int i = 0; i < rows_; ++i) {
+    problem_rhs_[i] = problem_.constraint(i).rhs;
+    // The graded perturbation of NormalizedRhsEntry, precomputed so RHS
+    // normalization is one vectorizable sign*b + term kernel pass.
+    perturb_term_[i] = options_.perturb * (1 + i % 101);
+  }
+  live_.binv_valid.assign(rows_, 0);
+  InvalidateReprice();
+  live_.result_cache_valid = false;
+  live_.duals.clear();
+  has_alt_basis_ = false;
+  alt_.x_reprice = alt_.last_b = alt_.binv_pool = nullptr;
+}
+
+void RevisedSimplex::StashAlternateBasis() {
+  // The arena arrays are the one part of a slot a copy cannot share: alt_
+  // keeps its own (allocated on first use), and takes the live contents.
+  if (alt_.x_reprice == nullptr) {
+    alt_.x_reprice = arena_.AllocArray<double>(rows_);
+    alt_.last_b = arena_.AllocArray<double>(rows_);
+    alt_.binv_pool =
+        arena_.AllocArray<double>(static_cast<std::size_t>(rows_) * rows_);
+  }
+  double* const x_reprice = alt_.x_reprice;
+  double* const last_b = alt_.last_b;
+  double* const binv_pool = alt_.binv_pool;
+  alt_ = live_;
+  alt_.x_reprice = x_reprice;
+  alt_.last_b = last_b;
+  alt_.binv_pool = binv_pool;
+  std::copy(live_.x_reprice, live_.x_reprice + rows_, alt_.x_reprice);
+  std::copy(live_.last_b, live_.last_b + rows_, alt_.last_b);
+  // Its B⁻¹ memo starts empty; it re-prices afresh on its first turn.
+  std::fill(alt_.binv_valid.begin(), alt_.binv_valid.end(), 0);
+  alt_.reprice_valid = false;
+  alt_.reprices_since_full = 0;
+  alt_.witness_scan_ok = false;
+  alt_.result_cache_valid = false;
+  has_alt_basis_ = true;
+}
+
+bool RevisedSimplex::LastRepricedAt(bool valid, const double* last_b) const {
+  return valid &&
+         std::memcmp(norm_b_, last_b, sizeof(double) * rows_) == 0;
 }
 
 void RevisedSimplex::MaterializeBinvColumns(const int* rows, int n) {
   missing_.clear();
   for (int k = 0; k < n; ++k) {
-    if (!binv_valid_[rows[k]]) missing_.push_back(rows[k]);
+    if (!live_.binv_valid[rows[k]]) missing_.push_back(rows[k]);
   }
   std::size_t p = 0;
   while (p < missing_.size()) {
@@ -172,10 +209,10 @@ void RevisedSimplex::MaterializeBinvColumns(const int* rows, int n) {
       const int j = missing_[p];
       unit_.assign(rows_, 0.0);
       unit_[j] = 1.0;
-      lu_.Ftran(unit_);
-      double* colj = binv_pool_ + static_cast<std::size_t>(j) * rows_;
+      live_.lu.Ftran(unit_);
+      double* colj = live_.binv_pool + static_cast<std::size_t>(j) * rows_;
       for (int i = 0; i < rows_; ++i) colj[i] = static_cast<double>(unit_[i]);
-      binv_valid_[j] = 1;
+      live_.binv_valid[j] = 1;
       ++p;
       continue;
     }
@@ -188,15 +225,15 @@ void RevisedSimplex::MaterializeBinvColumns(const int* rows, int n) {
     for (int l = 0; l < lanes; ++l) {
       binv_block_[static_cast<std::size_t>(missing_[p + l]) * lanes + l] = 1.0;
     }
-    lu_.FtranBlock(binv_block_, lanes);
+    live_.lu.FtranBlock(binv_block_, lanes);
     for (int l = 0; l < lanes; ++l) {
       const int j = missing_[p + l];
-      double* colj = binv_pool_ + static_cast<std::size_t>(j) * rows_;
+      double* colj = live_.binv_pool + static_cast<std::size_t>(j) * rows_;
       for (int i = 0; i < rows_; ++i) {
         colj[i] = static_cast<double>(
             binv_block_[static_cast<std::size_t>(i) * lanes + l]);
       }
-      binv_valid_[j] = 1;
+      live_.binv_valid[j] = 1;
     }
     p += lanes;
   }
@@ -210,22 +247,22 @@ RevisedSimplex::ScanVerdict RevisedSimplex::ScanBasics() const {
   // Verdict precedence (artificial before infeasible) matches the
   // historical early-breaking loops: both report kArtificial whenever any
   // off-zero basic artificial exists.
-  if (art_slots_dirty_) {
-    art_slots_.clear();
+  if (live_.art_slots_dirty) {
+    live_.art_slots.clear();
     for (int i = 0; i < rows_; ++i) {
-      if (basis_[i] >= first_art_) art_slots_.push_back(i);
+      if (live_.basis[i] >= first_art_) live_.art_slots.push_back(i);
     }
-    art_slots_dirty_ = false;
+    live_.art_slots_dirty = false;
   }
-  for (int i : art_slots_) {
+  for (int i : live_.art_slots) {
     if (std::abs(BasicValue(i)) > 1e-7) return ScanVerdict::kArtificial;
   }
   // What remains is a pure min reduction over the basic values; four
   // accumulators break the serial min dependency so the sweep runs at
   // load bandwidth on the common stale-master (double) path.
   double most_negative = 0.0;
-  if (x_basic_stale_) {
-    const double* x = x_reprice_;
+  if (live_.x_basic_stale) {
+    const double* x = live_.x_reprice;
     double m0 = 0.0, m1 = 0.0, m2 = 0.0, m3 = 0.0;
     int i = 0;
     for (; i + 4 <= rows_; i += 4) {
@@ -239,22 +276,25 @@ RevisedSimplex::ScanVerdict RevisedSimplex::ScanBasics() const {
   } else {
     for (int i = 0; i < rows_; ++i) {
       most_negative =
-          std::min(most_negative, static_cast<double>(x_basic_[i]));
+          std::min(most_negative, static_cast<double>(live_.x_basic[i]));
     }
   }
   if (most_negative < -options_.eps) return ScanVerdict::kInfeasible;
   return ScanVerdict::kFeasible;
 }
 
-void RevisedSimplex::RepriceRhs(const std::vector<double>& rhs) {
+void RevisedSimplex::NormalizeRhs(const std::vector<double>& rhs) {
   // Normalize the whole RHS in one kernel pass (the historical per-entry
   // NormalizedRhsEntry, all-double arithmetic, with the perturbation term
-  // precomputed in Build).
+  // precomputed in LayoutScratch).
   const double* bsrc = rhs.empty() ? problem_rhs_ : rhs.data();
   LpNormalizeRhsD(*kernels_, row_sign_.data(), bsrc, perturb_term_, norm_b_,
                   rows_);
+}
+
+void RevisedSimplex::RepriceNormalized() {
   rhs_unchanged_ = false;
-  if (reprice_valid_ && reprices_since_full_ < kFullRepriceInterval &&
+  if (live_.reprice_valid && live_.reprices_since_full < kFullRepriceInterval &&
       options_.perturb == 0.0) {
     // Incremental: x_new = x_old + Σ_j Δ_j · (B⁻¹ e_j) over the moved
     // coordinates — memoized double B⁻¹ columns folded in with the fma
@@ -264,7 +304,7 @@ void RevisedSimplex::RepriceRhs(const std::vector<double>& rhs) {
     // and keeping them out of the delta path keeps it exactly the
     // unperturbed b-difference.)
     // The delta scan doubles as the unchanged-RHS fast exit: no moved
-    // coordinate means x (= B⁻¹ last_b_) is already the answer — no delta
+    // coordinate means x (= B⁻¹ last_b) is already the answer — no delta
     // work, no tick of the drift interval (an untouched x accumulates
     // none). This is the steady state of a batch re-pricing the same
     // template values. Chunked bitwise pre-filter: almost every
@@ -277,70 +317,71 @@ void RevisedSimplex::RepriceRhs(const std::vector<double>& rhs) {
     int moved_n = 0;
     int j = 0;
     for (; j + 8 <= rows_; j += 8) {
-      if (std::memcmp(norm_b_ + j, last_b_ + j, 8 * sizeof(double)) == 0) {
+      if (std::memcmp(norm_b_ + j, live_.last_b + j, 8 * sizeof(double)) == 0) {
         continue;
       }
       for (int t = j; t < j + 8; ++t) {
         moved_[moved_n] = t;
-        moved_n += norm_b_[t] != last_b_[t] ? 1 : 0;
+        moved_n += norm_b_[t] != live_.last_b[t] ? 1 : 0;
       }
     }
     for (; j < rows_; ++j) {
       moved_[moved_n] = j;
-      moved_n += norm_b_[j] != last_b_[j] ? 1 : 0;
+      moved_n += norm_b_[j] != live_.last_b[j] ? 1 : 0;
     }
     if (moved_n == 0) {
       rhs_unchanged_ = true;
       return;
     }
-    ++reprices_since_full_;
+    ++live_.reprices_since_full;
     MaterializeBinvColumns(moved_.data(), moved_n);
     for (int k = 0; k < moved_n; ++k) {
       const int j = moved_[k];
-      const double d = norm_b_[j] - last_b_[j];
-      last_b_[j] = norm_b_[j];
-      b_[j] = norm_b_[j];
+      const double d = norm_b_[j] - live_.last_b[j];
+      live_.last_b[j] = norm_b_[j];
+      live_.b[j] = norm_b_[j];
       LpAxpyD(*kernels_, d,
-              binv_pool_ + static_cast<std::size_t>(j) * rows_, x_reprice_,
-              rows_);
+              live_.binv_pool + static_cast<std::size_t>(j) * rows_,
+              live_.x_reprice, rows_);
     }
-    // The double master copy is now ahead of the pivot-precision x_basic_;
+    // The double master copy is now ahead of the pivot-precision x_basic;
     // the widen is deferred (WidenReprice) so witness-served re-prices —
     // scan plus extraction, both reading the double master — never pay it.
     // Drift of the double accumulation is bounded by the periodic full
     // re-price, same as before.
-    x_basic_stale_ = true;
-  } else if (reprice_valid_ && LpEqualD(*kernels_, norm_b_, last_b_, rows_)) {
+    live_.x_basic_stale = true;
+  } else if (live_.reprice_valid &&
+             LpEqualD(*kernels_, norm_b_, live_.last_b, rows_)) {
     // Bitwise-unchanged RHS reaching here (drift interval expired, or a
     // perturbed resolve): same fast exit as the delta scan's.
     rhs_unchanged_ = true;
     return;
   } else {
-    for (int i = 0; i < rows_; ++i) b_[i] = norm_b_[i];
-    x_basic_ = b_;
-    lu_.Ftran(x_basic_);
-    x_basic_stale_ = false;
+    for (int i = 0; i < rows_; ++i) live_.b[i] = norm_b_[i];
+    live_.x_basic = live_.b;
+    live_.lu.Ftran(live_.x_basic);
+    live_.x_basic_stale = false;
     for (int i = 0; i < rows_; ++i) {
-      x_reprice_[i] = static_cast<double>(x_basic_[i]);
-      last_b_[i] = norm_b_[i];
+      live_.x_reprice[i] = static_cast<double>(live_.x_basic[i]);
+      live_.last_b[i] = norm_b_[i];
     }
-    reprice_valid_ = true;
-    reprices_since_full_ = 0;
+    live_.reprice_valid = true;
+    live_.reprices_since_full = 0;
   }
 }
 
 void RevisedSimplex::ComputeDuals(const std::vector<double>& cost) {
   cb_.assign(rows_, 0.0);
-  for (int i = 0; i < rows_; ++i) cb_[i] = cost[basis_[i]];
+  for (int i = 0; i < rows_; ++i) cb_[i] = cost[live_.basis[i]];
   y_ = cb_;
-  lu_.Btran(y_);
+  live_.lu.Btran(y_);
 }
 
 int RevisedSimplex::ChooseLeavingSlot(const std::vector<Scalar>& w) {
   // Scale-aware eligibility: a true zero of the column survives FTRAN as
   // noise of order cond(B)·u·‖w‖, which crosses any absolute threshold
   // once the basis degrades — and pivoting on such noise is what degrades
-  // it. The dense backend gets away with an absolute eps only because its
+  // it. The dense tableau gets away with an absolute eps only because its
   // long-double tableau keeps the noise floor ~1e-19. Anchoring the
   // threshold to ‖w‖∞ keeps noise entries out of the ratio test.
   Scalar scale = 0.0;
@@ -352,7 +393,7 @@ int RevisedSimplex::ChooseLeavingSlot(const std::vector<Scalar>& w) {
   for (int i = 0; i < rows_; ++i) {
     const Scalar a = w[i];
     if (a <= eps) continue;
-    const Scalar ratio = x_basic_[i] / a;
+    const Scalar ratio = live_.x_basic[i] / a;
     if (ratio < best_ratio - kLexEps) {
       best_ratio = ratio;
       tied_.clear();
@@ -370,7 +411,7 @@ int RevisedSimplex::ChooseLeavingSlot(const std::vector<Scalar>& w) {
     // comparisons below (see RunPhase).
     int leave = tied_.front();
     for (int i : tied_) {
-      if (basis_[i] < basis_[leave]) leave = i;
+      if (live_.basis[i] < live_.basis[leave]) leave = i;
     }
     return leave;
   }
@@ -385,7 +426,7 @@ int RevisedSimplex::ChooseLeavingSlot(const std::vector<Scalar>& w) {
   for (int r = 0; r < rows_ && tied_.size() > 1; ++r) {
     unit_.assign(rows_, 0.0);
     unit_[r] = 1.0;
-    lu_.Ftran(unit_);  // unit_[i] = (B⁻¹)[i, r], slot-indexed
+    live_.lu.Ftran(unit_);  // unit_[i] = (B⁻¹)[i, r], slot-indexed
     Scalar best = kInf;
     for (int i : tied_) best = std::min(best, unit_[i] / w[i]);
     survivors_.clear();
@@ -405,49 +446,44 @@ bool RevisedSimplex::ApplyPivot(int enter, int leave_slot,
   // = w, so each cached column updates in place with one product-form
   // sweep (below). Only the refactorizing paths flush the memo, which
   // also bounds its accumulated drift by the refactorization cadence —
-  // the same bound the FT/eta updates themselves live under.
-  reprice_valid_ = false;
-  witness_scan_ok_ = false;
+  // the same bound the FT updates themselves live under.
+  live_.reprice_valid = false;
+  live_.witness_scan_ok = false;
   MarkBasisChanged();  // covers both the pivot and the rollback below
-  const int out = basis_[leave_slot];
-  in_basis_[out] = kNoCol;
-  basis_[leave_slot] = enter;
-  in_basis_[enter] = leave_slot;
-  // Basis update — Forrest–Tomlin rewrites U in place, the legacy mode
-  // appends a product-form eta. On rejection (unstable update) or an
-  // exhausted update/fill budget, refactorize against the new basis
-  // header. Refactorization also recomputes the basic values from b_,
-  // squashing accumulated drift.
+  const int out = live_.basis[leave_slot];
+  live_.in_basis[out] = kNoCol;
+  live_.basis[leave_slot] = enter;
+  live_.in_basis[enter] = leave_slot;
+  // Basis update — Forrest–Tomlin rewrites U in place. On rejection
+  // (unstable update) or an exhausted update/fill budget, refactorize
+  // against the new basis header. Refactorization also recomputes the
+  // basic values from b, squashing accumulated drift.
   // spike_ is the pre-U intermediate the entering column's FTRAN captured
   // (every ApplyPivot call site FTRANs the entering column immediately
   // before, with no factorization change in between), so the update skips
   // its own forward solve.
-  const bool updated = lu_.Update(a_, enter, w, leave_slot, &spike_);
+  const bool updated = live_.lu.Update(a_, enter, w, leave_slot, &spike_);
   if (updated) {
-    if (update_kind_ == BasisUpdateKind::kForrestTomlin) {
-      ++stats_.ft_updates;
-    } else {
-      ++stats_.eta_updates;
-    }
+    ++stats_.ft_updates;
   } else {
     ++stats_.rejected_updates;
   }
-  if (!updated || lu_.NeedsRefactorize()) {
+  if (!updated || live_.lu.NeedsRefactorize()) {
     ++stats_.refactorizations;
-    std::fill(binv_valid_.begin(), binv_valid_.end(), 0);
-    if (!lu_.Factorize(a_, basis_)) {
+    std::fill(live_.binv_valid.begin(), live_.binv_valid.end(), 0);
+    if (!live_.lu.Factorize(a_, live_.basis)) {
       // The post-pivot basis is numerically singular: the pivot element
-      // cleared eps only through drift in the eta stack. Roll the header
+      // cleared eps only through update-chain drift. Roll the header
       // back and rebuild the previous basis, which factorized before.
-      in_basis_[enter] = kNoCol;
-      basis_[leave_slot] = out;
-      in_basis_[out] = leave_slot;
+      live_.in_basis[enter] = kNoCol;
+      live_.basis[leave_slot] = out;
+      live_.in_basis[out] = leave_slot;
       if (!Refactorize()) numerical_failure_ = true;
       return false;
     }
-    x_basic_ = b_;
-    lu_.Ftran(x_basic_);
-    x_basic_stale_ = false;
+    live_.x_basic = live_.b;
+    live_.lu.Ftran(live_.x_basic);
+    live_.x_basic_stale = false;
     return true;
   }
   // Carry the B⁻¹ memo through the pivot: B_new⁻¹ = E⁻¹·B_old⁻¹, and
@@ -457,7 +493,7 @@ bool RevisedSimplex::ApplyPivot(int enter, int leave_slot,
   bool narrowed = false;
   const double w_leave = static_cast<double>(w[leave_slot]);
   for (int j = 0; j < rows_; ++j) {
-    if (!binv_valid_[j]) continue;
+    if (!live_.binv_valid[j]) continue;
     if (!narrowed) {
       pivot_w_.resize(rows_);
       for (int i = 0; i < rows_; ++i) {
@@ -465,18 +501,18 @@ bool RevisedSimplex::ApplyPivot(int enter, int leave_slot,
       }
       narrowed = true;
     }
-    double* col = binv_pool_ + static_cast<std::size_t>(j) * rows_;
+    double* col = live_.binv_pool + static_cast<std::size_t>(j) * rows_;
     const double t = col[leave_slot] / w_leave;
     if (t != 0.0) {
       LpAxpyD(*kernels_, -t, pivot_w_.data(), col, rows_);
     }
     col[leave_slot] = t;
   }
-  const Scalar theta = x_basic_[leave_slot] / w[leave_slot];
+  const Scalar theta = live_.x_basic[leave_slot] / w[leave_slot];
   if (theta != 0.0) {
-    LpSweepLd(x_basic_.data(), w.data(), theta, rows_);
+    LpSweepLd(live_.x_basic.data(), w.data(), theta, rows_);
   }
-  x_basic_[leave_slot] = theta;
+  live_.x_basic[leave_slot] = theta;
   return true;
 }
 
@@ -506,12 +542,14 @@ bool RevisedSimplex::RunPhase(const std::vector<double>& cost,
     if (iterations_ % 5000 == 0 && iterations_ > 0 &&
         std::getenv("LPB_RS_DEBUG") != nullptr) {
       Scalar obj = 0.0;
-      for (int i = 0; i < rows_; ++i) obj += cost[basis_[i]] * x_basic_[i];
+      for (int i = 0; i < rows_; ++i) {
+        obj += cost[live_.basis[i]] * live_.x_basic[i];
+      }
       std::fprintf(
           stderr,
           "RS iter=%d obj=%.9f stalled=%d bland=%d updates=%d rows=%d\n",
           iterations_, static_cast<double>(obj), stalled, bland_mode_ ? 1 : 0,
-          lu_.update_count(), rows_);
+          live_.lu.update_count(), rows_);
     }
 
     // Price: y = B⁻ᵀ c_B once, then one sparse dot per priced column.
@@ -523,7 +561,7 @@ bool RevisedSimplex::RunPhase(const std::vector<double>& cost,
       // Bland's entering rule: the smallest eligible index, always over a
       // full sweep (partial pricing would break its termination argument).
       for (int j = 0; j < limit; ++j) {
-        if (in_basis_[j] != kNoCol || frozen_[j]) continue;
+        if (live_.in_basis[j] != kNoCol || frozen_[j]) continue;
         const double reduced =
             cost[j] - static_cast<double>(a_.DotColumn(j, y_));
         if (reduced > best) {
@@ -542,13 +580,13 @@ bool RevisedSimplex::RunPhase(const std::vector<double>& cost,
          ++e) {
       w_[e->row] = e->value;
     }
-    lu_.Ftran(w_, &spike_);
+    live_.lu.Ftran(w_, &spike_);
 
     // Cross-check the BTRAN-priced reduced cost against the FTRAN image
     // (c_j - c_B'w must match c_j - y'A_j). Disagreement means the update
     // chain has drifted; refactorize and re-price rather than pivot on
     // fiction. Skip when the factorization is already fresh.
-    if (lu_.update_count() > 0) {
+    if (live_.lu.update_count() > 0) {
       Scalar cbw = 0.0;
       for (int i = 0; i < rows_; ++i) cbw += cb_[i] * w_[i];
       const double ftran_reduced =
@@ -562,7 +600,7 @@ bool RevisedSimplex::RunPhase(const std::vector<double>& cost,
 
     const int leave = ChooseLeavingSlot(w_);
     if (leave == -1) {
-      // Same guard as the dense backend: a barely positive reduced cost
+      // Same guard as the dense tableau: a barely positive reduced cost
       // over a numerically dead column is noise, not a ray.
       if (best <= 1e-6) {
         frozen_[enter] = true;
@@ -578,11 +616,11 @@ bool RevisedSimplex::RunPhase(const std::vector<double>& cost,
     if (pricing_ == PricingRule::kDevex) {
       PrepareDevexWeights(enter, leave, w_, limit);
     }
-    const Scalar step = x_basic_[leave] / w_[leave];
+    const Scalar step = live_.x_basic[leave] / w_[leave];
     if (!ApplyPivot(enter, leave, w_)) {
       if (numerical_failure_) return false;
       // The pivot was drift: the rolled-back basis has just been
-      // refactorized (accurate, eta-free), so re-price and retry — the
+      // refactorized (accurate, update-free), so re-price and retry — the
       // honest FTRAN image usually prices the column out or picks a real
       // pivot. Freezing is a last resort after repeated rejections, since
       // wrongly freezing a live column (e.g. the objective variable)
@@ -633,7 +671,7 @@ int RevisedSimplex::PriceEntering(const std::vector<double>& cost, int limit,
     double best_score = 0.0;
     size_t keep = 0;
     for (int j : price_list_) {
-      if (in_basis_[j] != kNoCol || frozen_[j]) continue;
+      if (live_.in_basis[j] != kNoCol || frozen_[j]) continue;
       const double reduced =
           cost[j] - static_cast<double>(a_.DotColumn(j, y_));
       if (reduced <= eps) continue;
@@ -655,7 +693,7 @@ int RevisedSimplex::PriceEntering(const std::vector<double>& cost, int limit,
   std::vector<std::pair<double, int>>& ranked = ranked_;
   ranked.clear();
   for (int j = 0; j < limit; ++j) {
-    if (in_basis_[j] != kNoCol || frozen_[j]) continue;
+    if (live_.in_basis[j] != kNoCol || frozen_[j]) continue;
     const double reduced = cost[j] - static_cast<double>(a_.DotColumn(j, y_));
     if (reduced <= eps) continue;
     const double score = criterion(j, reduced);
@@ -690,15 +728,15 @@ void RevisedSimplex::PrepareDevexWeights(int enter, int leave_slot,
   devex_pending_out_ = kNoCol;
   const Scalar alpha_q = w[leave_slot];
   if (alpha_q == 0.0) return;
-  const int out = basis_[leave_slot];
+  const int out = live_.basis[leave_slot];
   const double gamma_q = std::max(devex_w_[enter], 1.0);
   // Pivot row r of B⁻¹A: one unit BTRAN against the pre-pivot basis, then
   // a sparse dot per priced column — the same shape as a pricing pass.
   unit_.assign(rows_, 0.0);
   unit_[leave_slot] = 1.0;
-  lu_.Btran(unit_);
+  live_.lu.Btran(unit_);
   for (int j = 0; j < limit; ++j) {
-    if (j == enter || in_basis_[j] != kNoCol || frozen_[j]) continue;
+    if (j == enter || live_.in_basis[j] != kNoCol || frozen_[j]) continue;
     const Scalar alpha = a_.DotColumn(j, unit_);
     if (alpha == 0.0) continue;
     const double ratio = static_cast<double>(alpha / alpha_q);
@@ -730,7 +768,7 @@ void RevisedSimplex::CommitDevexWeights() {
 }
 
 RevisedSimplex::DualOutcome RevisedSimplex::RunDualSimplex() {
-  WidenReprice();  // pivot sweeps update x_basic_ in pivot precision
+  WidenReprice();  // pivot sweeps update x_basic in pivot precision
   const double eps = options_.eps;
   while (true) {
     if (numerical_failure_ || iterations_ >= max_iterations_) {
@@ -741,8 +779,8 @@ RevisedSimplex::DualOutcome RevisedSimplex::RunDualSimplex() {
     int leave = -1;
     Scalar most = -eps;
     for (int i = 0; i < rows_; ++i) {
-      if (x_basic_[i] < most) {
-        most = x_basic_[i];
+      if (live_.x_basic[i] < most) {
+        most = live_.x_basic[i];
         leave = i;
       }
     }
@@ -755,7 +793,7 @@ RevisedSimplex::DualOutcome RevisedSimplex::RunDualSimplex() {
     unit_.assign(rows_, 0.0);
     unit_[leave] = 1.0;
     row_l_ = unit_;
-    lu_.Btran(row_l_);
+    live_.lu.Btran(row_l_);
     // Same scale-aware eligibility as the primal ratio test: entries of
     // the leaving row that are noise at the row's magnitude must not be
     // pivoted on.
@@ -767,7 +805,7 @@ RevisedSimplex::DualOutcome RevisedSimplex::RunDualSimplex() {
     int enter = kNoCol;
     Scalar best_ratio = kInf;
     for (int j = 0; j < first_art_; ++j) {
-      if (in_basis_[j] != kNoCol) continue;
+      if (live_.in_basis[j] != kNoCol) continue;
       const Scalar alpha = a_.DotColumn(j, row_l_);
       if (alpha >= -alpha_eps) continue;
       const Scalar reduced = phase2_cost_[j] - a_.DotColumn(j, y_);
@@ -784,7 +822,7 @@ RevisedSimplex::DualOutcome RevisedSimplex::RunDualSimplex() {
          ++e) {
       w_[e->row] = e->value;
     }
-    lu_.Ftran(w_, &spike_);
+    live_.lu.Ftran(w_, &spike_);
     if (std::abs(w_[leave]) <= eps) {
       // The FTRAN image disagrees with the BTRAN row (numerical drift):
       // bail to the caller's cold fallback rather than divide by noise.
@@ -801,7 +839,7 @@ RevisedSimplex::DualOutcome RevisedSimplex::RunDualSimplex() {
 void RevisedSimplex::EvictArtificials() {
   for (int i = 0; i < rows_; ++i) {
     if (numerical_failure_) return;
-    if (basis_[i] < first_art_) continue;
+    if (live_.basis[i] < first_art_) continue;
     // Basic artificial at value ~0 after a feasible phase 1: pivot in any
     // non-artificial column with a nonzero entry in this row of B⁻¹A; if
     // none exists the row is redundant and the artificial stays basic at
@@ -809,9 +847,9 @@ void RevisedSimplex::EvictArtificials() {
     unit_.assign(rows_, 0.0);
     unit_[i] = 1.0;
     row_l_ = unit_;
-    lu_.Btran(row_l_);
+    live_.lu.Btran(row_l_);
     for (int j = 0; j < first_art_; ++j) {
-      if (in_basis_[j] != kNoCol) continue;
+      if (live_.in_basis[j] != kNoCol) continue;
       if (std::abs(static_cast<double>(a_.DotColumn(j, row_l_))) <=
           options_.eps) {
         continue;
@@ -820,7 +858,7 @@ void RevisedSimplex::EvictArtificials() {
       for (const SparseEntry* e = a_.ColBegin(j); e != a_.ColEnd(j); ++e) {
         w_[e->row] = e->value;
       }
-      lu_.Ftran(w_, &spike_);
+      live_.lu.Ftran(w_, &spike_);
       if (std::abs(w_[i]) <= options_.eps) continue;
       if (!ApplyPivot(j, i, w_)) {
         if (numerical_failure_) return;
@@ -842,45 +880,50 @@ void RevisedSimplex::FillKernelStats() {
   }
 }
 
+int RevisedSimplex::MaxIterations() const {
+  return options_.max_iterations > 0 ? options_.max_iterations
+                                     : 50 * (rows_ + cols_) + 1000;
+}
+
 void RevisedSimplex::ExtractOptimal(LpEvalPath path, LpResult& result,
                                     bool repeat) {
   result.status = LpStatus::kOptimal;
   result.iterations = iterations_;
   result.path = path;
-  if (repeat && result_cache_valid_) {
-    // x_basic_ is bitwise-unchanged since the extraction that filled the
-    // cache (the caller holds rhs_unchanged_ && witness_scan_ok_), so the
+  if (repeat && live_.result_cache_valid) {
+    // x_basic is bitwise-unchanged since the extraction that filled the
+    // cache (the caller holds rhs_unchanged_ && witness_scan_ok), so the
     // x/objective/duals here are the cached ones by construction. Serving
     // them as flat double copies skips the per-entry long-double→double
     // scatter and the objective dot on the repeated-RHS hot path.
-    result.x = cached_x_;
-    result.objective = cached_objective_;
+    result.x = live_.cached_x;
+    result.objective = live_.cached_objective;
     result.pricing = pricing_;
-    result.duals = cached_duals_;
+    result.duals = live_.duals;
     has_basis_ = true;
     FillKernelStats();
     result.stats = stats_;
     return;
   }
   result.x.assign(problem_.num_vars(), 0.0);
-  // BasicValue: reads the double re-price master directly when x_basic_
+  // BasicValue: reads the double re-price master directly when x_basic
   // is lagging it — the extracted doubles are bitwise what the widened
   // copy would narrow back to, so no widen is forced here.
   for (int i = 0; i < rows_; ++i) {
-    if (basis_[i] < problem_.num_vars()) {
-      result.x[basis_[i]] = BasicValue(i);
+    if (live_.basis[i] < problem_.num_vars()) {
+      result.x[live_.basis[i]] = BasicValue(i);
     }
   }
   result.objective = LpDotD(*kernels_, phase2_cost_.data(), result.x.data(),
                             problem_.num_vars());
-  cached_x_ = result.x;
-  cached_objective_ = result.objective;
-  result_cache_valid_ = true;
+  live_.cached_x = result.x;
+  live_.cached_objective = result.objective;
+  live_.result_cache_valid = true;
   result.pricing = pricing_;
 
-  if (path == LpEvalPath::kWitness && !cached_duals_.empty()) {
+  if (path == LpEvalPath::kWitness && !live_.duals.empty()) {
     // Same basis, same cost: the duals are the previous solve's.
-    result.duals = cached_duals_;
+    result.duals = live_.duals;
   } else {
     // One BTRAN: y = B⁻ᵀ c_B are the duals of the normalized rows; undo
     // the row signs to express them against the caller's constraints.
@@ -889,7 +932,7 @@ void RevisedSimplex::ExtractOptimal(LpEvalPath path, LpResult& result,
     for (int i = 0; i < rows_; ++i) {
       result.duals[i] = static_cast<double>(y_[i]) * row_sign_[i];
     }
-    cached_duals_ = result.duals;
+    live_.duals = result.duals;
   }
   has_basis_ = true;
   FillKernelStats();
@@ -941,9 +984,7 @@ void RevisedSimplex::SolveCore(const std::vector<double>& rhs,
   numerical_failure_ = false;
   cleanup_failed_ = false;
   Build(rhs);
-  max_iterations_ = options_.max_iterations > 0
-                        ? options_.max_iterations
-                        : 50 * (rows_ + cols_) + 1000;
+  max_iterations_ = MaxIterations();
   if (numerical_failure_) return Failure(LpStatus::kIterationLimit, result);
   if (anti_degeneracy) {
     // Graded positive shifts, the same shape as SimplexOptions::perturb.
@@ -951,10 +992,10 @@ void RevisedSimplex::SolveCore(const std::vector<double>& rhs,
     // data; exactness is restored by the cleanup below, not by keeping
     // this small.
     for (int i = 0; i < rows_; ++i) {
-      b_[i] += kAntiDegeneracyEps * (1 + i % 101);
+      live_.b[i] += kAntiDegeneracyEps * (1 + i % 101);
     }
-    x_basic_ = b_;
-    lu_.Ftran(x_basic_);
+    live_.x_basic = live_.b;
+    live_.lu.Ftran(live_.x_basic);
   }
 
   // Phase 1: maximize -sum(artificials), feasible iff optimum is 0.
@@ -967,7 +1008,7 @@ void RevisedSimplex::SolveCore(const std::vector<double>& rhs,
     }
     Scalar infeas = 0.0;
     for (int i = 0; i < rows_; ++i) {
-      if (basis_[i] >= first_art_) infeas += x_basic_[i];
+      if (live_.basis[i] >= first_art_) infeas += live_.x_basic[i];
     }
     if (infeas > 1e-7) {
       // An infeasibility verdict under perturbation is not trustworthy:
@@ -998,13 +1039,13 @@ void RevisedSimplex::SolveCore(const std::vector<double>& rhs,
     // basis is also feasible at the true RHS; otherwise re-run
     // unperturbed.
     if (anti_degeneracy) {
-      for (int i = 0; i < rows_; ++i) b_[i] = NormalizedRhs(i, rhs);
-      x_basic_ = b_;
-      lu_.Ftran(x_basic_);
+      for (int i = 0; i < rows_; ++i) live_.b[i] = NormalizedRhs(i, rhs);
+      live_.x_basic = live_.b;
+      live_.lu.Ftran(live_.x_basic);
       for (int i = 0; i < rows_; ++i) {
-        if (x_basic_[i] < -options_.eps ||
-            (basis_[i] >= first_art_ &&
-             std::abs(static_cast<double>(x_basic_[i])) > 1e-7)) {
+        if (live_.x_basic[i] < -options_.eps ||
+            (live_.basis[i] >= first_art_ &&
+             std::abs(static_cast<double>(live_.x_basic[i])) > 1e-7)) {
           cleanup_failed_ = true;
           break;
         }
@@ -1019,14 +1060,14 @@ void RevisedSimplex::SolveCore(const std::vector<double>& rhs,
   // untouched), so at worst a few dual-simplex pivots repair the slightly
   // negative basic values; if anything fails, Solve() re-runs without the
   // perturbation.
-  for (int i = 0; i < rows_; ++i) b_[i] = NormalizedRhs(i, rhs);
-  x_basic_ = b_;
-  lu_.Ftran(x_basic_);
+  for (int i = 0; i < rows_; ++i) live_.b[i] = NormalizedRhs(i, rhs);
+  live_.x_basic = live_.b;
+  live_.lu.Ftran(live_.x_basic);
   bool feasible = true;
   for (int i = 0; i < rows_; ++i) {
-    if (x_basic_[i] < -options_.eps) feasible = false;
-    if (basis_[i] >= first_art_ &&
-        std::abs(static_cast<double>(x_basic_[i])) > 1e-7) {
+    if (live_.x_basic[i] < -options_.eps) feasible = false;
+    if (live_.basis[i] >= first_art_ &&
+        std::abs(static_cast<double>(live_.x_basic[i])) > 1e-7) {
       cleanup_failed_ = true;
       return Failure(LpStatus::kIterationLimit, result);
     }
@@ -1041,18 +1082,48 @@ void RevisedSimplex::SolveCore(const std::vector<double>& rhs,
 
 void RevisedSimplex::ResolveCascade(const std::vector<double>& rhs,
                                     LpResult& result) {
+  NormalizeRhs(rhs);
+  // An exact repeat of the RHS the second cached basis last served as a
+  // witness (two alternating value vectors): swap it in, and the re-price
+  // below takes its unchanged-RHS exit.
+  if (has_alt_basis_ && alt_.witness_scan_ok &&
+      LastRepricedAt(alt_.reprice_valid, alt_.last_b) &&
+      !LastRepricedAt(live_.reprice_valid, live_.last_b)) {
+    SwapAlternateBasis();
+  }
   // Re-price the RHS under the cached factorization: B⁻¹b' — incremental
   // against the previous re-price when the factorization is unchanged
   // (O(rows × moved coordinates)), one fresh FTRAN otherwise. No pivots,
-  // no matrix rebuild either way (see RepriceRhs).
-  RepriceRhs(rhs);
-  // Memoized scan: an unchanged x_basic_ that already passed the scan
+  // no matrix rebuild either way (see RepriceNormalized).
+  RepriceNormalized();
+  // Memoized scan: an unchanged x_basic that already passed the scan
   // below passes it again — rescanning identical bits is pure overhead.
-  if (rhs_unchanged_ && witness_scan_ok_) {
+  if (rhs_unchanged_ && live_.witness_scan_ok) {
     return ExtractOptimal(LpEvalPath::kWitness, result, /*repeat=*/true);
   }
 
-  switch (ScanBasics()) {
+  ScanVerdict verdict = ScanBasics();
+  if (verdict != ScanVerdict::kFeasible) {
+    // A slot that fails keeps no baseline: re-priced at an RHS it does not
+    // serve, it is no use to the exact-repeat check above, and its next
+    // turn re-prices with one fresh FTRAN.
+    live_.witness_scan_ok = false;
+    live_.reprice_valid = false;
+    if (has_alt_basis_) {
+      // The second cached basis is optimal too (costs never change, so it
+      // is still dual feasible); if it is primal feasible here it serves
+      // this RHS as a witness. If not, the dual simplex below repairs it —
+      // the least recently used of the two — and the live one stays
+      // cached.
+      SwapAlternateBasis();
+      RepriceNormalized();
+      verdict = ScanBasics();
+    } else if (verdict == ScanVerdict::kInfeasible) {
+      // First repair on this matrix: keep the basis being repaired from.
+      StashAlternateBasis();
+    }
+  }
+  switch (verdict) {
     case ScanVerdict::kArtificial:
       // A basic artificial forced away from zero means the cached basis
       // cannot represent this RHS at all (a previously-redundant row
@@ -1060,12 +1131,12 @@ void RevisedSimplex::ResolveCascade(const std::vector<double>& rhs,
       return SolveFromScratch(rhs, result);
     case ScanVerdict::kFeasible:
       // Witness reuse: the basis is still optimal; zero pivots needed.
-      witness_scan_ok_ = true;
+      live_.witness_scan_ok = true;
       return ExtractOptimal(LpEvalPath::kWitness, result);
     case ScanVerdict::kInfeasible:
       break;
   }
-  witness_scan_ok_ = false;
+  live_.witness_scan_ok = false;
 
   switch (RunDualSimplex()) {
     case DualOutcome::kOptimal:
@@ -1090,9 +1161,7 @@ LpResult RevisedSimplex::ResolveWithRhs(const std::vector<double>& rhs) {
   }
   iterations_ = 0;
   numerical_failure_ = false;
-  max_iterations_ = options_.max_iterations > 0
-                        ? options_.max_iterations
-                        : 50 * (rows_ + cols_) + 1000;
+  max_iterations_ = MaxIterations();
   ResolveCascade(rhs, result);
   return result;
 }
@@ -1104,7 +1173,7 @@ bool RevisedSimplex::AddConstraintsWarm(const std::vector<LpConstraint>& rows,
   const int new_rows = rows_ + k;
   // Decline checks run strictly before any mutation (the contract lets
   // the caller fall back to a cold rebuild on false).
-  if (k == 0 || !has_basis_ || numerical_failure_ || !lu_.factorized() ||
+  if (k == 0 || !has_basis_ || numerical_failure_ || !live_.lu.factorized() ||
       first_art_ != cols_ ||
       static_cast<int>(rhs.size()) != new_rows) {
     return false;
@@ -1149,65 +1218,46 @@ bool RevisedSimplex::AddConstraintsWarm(const std::vector<LpConstraint>& rows,
   for (int i = 0; i < k; ++i) {
     a_.AppendColumn({{rows_ + i, 1.0}});
     row_sign_.push_back(new_sign[i]);
-    basis_.push_back(cols_ + i);
+    live_.basis.push_back(cols_ + i);
   }
   const int first_new_row = rows_;
   rows_ = new_rows;
   cols_ += k;
   first_art_ = cols_;
   MarkBasisChanged();
-  in_basis_.resize(cols_, kNoCol);
-  for (int i = 0; i < k; ++i) in_basis_[basis_[first_new_row + i]] =
+  live_.in_basis.resize(cols_, kNoCol);
+  for (int i = 0; i < k; ++i) live_.in_basis[live_.basis[first_new_row + i]] =
       first_new_row + i;
   phase2_cost_.resize(cols_, 0.0);
 
   // Re-layout the arena scratch for the larger row count (the B⁻¹ pool is
-  // rows_², so growth re-allocates it regardless); the re-pricing state is
-  // invalidated below, so nothing here needs preserving.
-  arena_.Reset();
-  problem_rhs_ = arena_.AllocArray<double>(rows_);
-  perturb_term_ = arena_.AllocArray<double>(rows_);
-  norm_b_ = arena_.AllocArray<double>(rows_);
-  last_b_ = arena_.AllocArray<double>(rows_);
-  x_reprice_ = arena_.AllocArray<double>(rows_);
-  binv_pool_ =
-      arena_.AllocArray<double>(static_cast<std::size_t>(rows_) * rows_);
-  binv_block_ = arena_.AllocArray<Scalar>(static_cast<std::size_t>(rows_) *
-                                          kBinvBlockLanes);
-  for (int i = 0; i < rows_; ++i) {
-    problem_rhs_[i] = problem_.constraint(i).rhs;
-    perturb_term_[i] = options_.perturb * (1 + i % 101);
-  }
-  binv_valid_.assign(rows_, 0);
-  InvalidateReprice();
-  result_cache_valid_ = false;
-  cached_duals_.clear();
+  // rows_², so growth re-allocates it regardless); nothing in it needs
+  // preserving.
+  LayoutScratch();
 
-  b_.resize(rows_);
-  for (int i = 0; i < rows_; ++i) b_[i] = NormalizedRhs(i, rhs);
+  live_.b.resize(rows_);
+  for (int i = 0; i < rows_; ++i) live_.b[i] = NormalizedRhs(i, rhs);
 
   // Grow the LU factorization by the bordered slack columns; refactorize
-  // when the growth is refused (pending legacy etas, degenerate layout) or
-  // the appended fill trips the budget. The grown basis [[B,0],[C,I]] is
+  // when the growth is refused (degenerate layout) or the appended fill
+  // trips the budget. The grown basis [[B,0],[C,I]] is
   // nonsingular whenever B was, so a refactorization failure here is a
   // genuine numerical breakdown — handled by the cold fallback below.
   iterations_ = 0;
   numerical_failure_ = false;
-  max_iterations_ = options_.max_iterations > 0
-                        ? options_.max_iterations
-                        : 50 * (rows_ + cols_) + 1000;
-  bool factor_ok = lu_.AppendBorderedRows(a_, basis_, first_new_row);
-  if (factor_ok && lu_.NeedsRefactorize()) factor_ok = false;
+  max_iterations_ = MaxIterations();
+  bool factor_ok = live_.lu.AppendBorderedRows(a_, live_.basis, first_new_row);
+  if (factor_ok && live_.lu.NeedsRefactorize()) factor_ok = false;
   if (!factor_ok) {
     ++stats_.append_refactorizations;
     ++stats_.refactorizations;
-    if (!lu_.Factorize(a_, basis_)) {
+    if (!live_.lu.Factorize(a_, live_.basis)) {
       SolveFromScratch(rhs, result);
       return true;
     }
   }
-  x_basic_ = b_;
-  lu_.Ftran(x_basic_);
+  live_.x_basic = live_.b;
+  live_.lu.Ftran(live_.x_basic);
 
   // The extended basis is dual feasible by construction — the new slacks
   // cost 0 and the new rows' duals are 0, so every reduced cost of the
@@ -1236,7 +1286,7 @@ void RevisedSimplex::ResolveWithRhsBatch(
     std::span<const std::vector<double>> rhs_batch,
     std::vector<LpResult>& out) {
   // Each column runs the same ResolveCascade as the scalar path — the
-  // batch contract (lp_backend.h) promises results identical to the
+  // batch contract (lp/tableau.h) promises results identical to the
   // scalar sequence. What the block amortizes: every witness-valid column
   // is one incremental re-price (or FTRAN) through the same cached
   // factorization plus a read of the shared cached duals (the cost-row
@@ -1245,9 +1295,7 @@ void RevisedSimplex::ResolveWithRhsBatch(
   // the caller's reused vector, so the per-column x/duals allocations of
   // the old value-returning path are gone too.
   out.resize(rhs_batch.size());
-  const int batch_max_iterations = options_.max_iterations > 0
-                                       ? options_.max_iterations
-                                       : 50 * (rows_ + cols_) + 1000;
+  const int batch_max_iterations = MaxIterations();
   for (std::size_t c = 0; c < rhs_batch.size(); ++c) {
     LpResult& result = out[c];
     kernel_base_ = g_lp_kernel_counters;
@@ -1273,42 +1321,27 @@ void RevisedSimplex::ResolveWithRhsBatchRelaxed(
     return;
   }
   out.resize(rhs_batch.size());
-  const int batch_max_iterations = options_.max_iterations > 0
-                                       ? options_.max_iterations
-                                       : 50 * (rows_ + cols_) + 1000;
-  // Pass 1: witness-only, against the pinned current basis. No pivots
-  // happen here, so the factorization — and with it the B⁻¹-column memo
-  // feeding the incremental re-price — stays valid for every column of
-  // the pass. A column the pinned basis cannot serve (primal-infeasible
-  // x, or a basic artificial forced off zero) is deferred, not pivoted:
-  // the witness verdicts of the remaining columns do not depend on it.
-  stale_cols_.clear();
-  for (std::size_t c = 0; c < rhs_batch.size(); ++c) {
-    LpResult& result = out[c];
-    kernel_base_ = g_lp_kernel_counters;
-    stats_.ResetPivots();
-    iterations_ = 0;
-    numerical_failure_ = false;
-    max_iterations_ = batch_max_iterations;
-    RepriceRhs(rhs_batch[c]);
-    if (rhs_unchanged_ && witness_scan_ok_) {
-      ExtractOptimal(LpEvalPath::kWitness, result, /*repeat=*/true);
-      continue;
-    }
-    if (ScanBasics() == ScanVerdict::kFeasible) {
-      witness_scan_ok_ = true;
-      ExtractOptimal(LpEvalPath::kWitness, result);
-      continue;
-    }
-    witness_scan_ok_ = false;
-    stale_cols_.push_back(c);
+  // Pass 1: witness-only, against the pinned current basis and then, for
+  // the columns it cannot serve, against the pinned second cached basis.
+  // No pivots happen here, so each factorization — and with it the
+  // B⁻¹-column memo feeding the incremental re-price — stays valid for
+  // every column of its sweep. A column neither basis serves
+  // (primal-infeasible x, or a basic artificial forced off zero) is
+  // deferred, not pivoted: the witness verdicts of the remaining columns
+  // do not depend on it.
+  stale_cols_.resize(rhs_batch.size());
+  for (std::size_t c = 0; c < rhs_batch.size(); ++c) stale_cols_[c] = c;
+  WitnessSweep(rhs_batch, out, 0);
+  if (has_alt_basis_ && !stale_cols_.empty()) {
+    SwapAlternateBasis();
+    WitnessSweep(rhs_batch, out, 0);
   }
   // Pass 2: the deferred columns, grouped by the basis that serves them.
   // A batch's RHS columns cluster around a handful of optimal bases, so
   // after each pivot episode (one deferred column run through the full
   // scalar cascade) the repaired basis typically covers several of the
-  // columns still waiting — sweeping them here with the same witness test
-  // as pass 1 turns O(stale) pivot episodes into O(distinct bases).
+  // columns still waiting — sweeping them with the same witness test as
+  // pass 1 turns O(stale) pivot episodes into O(distinct bases).
   // Objectives still match the scalar sequence's (same LP, same RHS); the
   // basis a column is read off may legitimately differ.
   std::size_t head = 0;
@@ -1323,53 +1356,61 @@ void RevisedSimplex::ResolveWithRhsBatchRelaxed(
     }
     iterations_ = 0;
     numerical_failure_ = false;
-    max_iterations_ = batch_max_iterations;
+    max_iterations_ = MaxIterations();
     ResolveCascade(rhs_batch[c], result);
     if (!has_basis_) continue;
-    if (result.status == LpStatus::kOptimal && !reprice_valid_ &&
+    if (result.status == LpStatus::kOptimal && !live_.reprice_valid &&
         options_.perturb == 0.0) {
       // The episode pivoted (a still-valid baseline skips this): re-seed
       // the incremental re-price baseline from the cascade's own basics —
-      // x_basic_ is B⁻¹b_ for the repaired basis, maintained through the
+      // x_basic is B⁻¹b_ for the repaired basis, maintained through the
       // pivot sweeps — so the witness sweep below prices the remaining
       // deferred columns incrementally instead of opening with a full
       // FTRAN. Drift inherited from the sweeps is bounded the same way
       // theirs is (refactorization cadence), and kFullRepriceInterval
       // still forces periodic fresh FTRANs.
       for (int i = 0; i < rows_; ++i) {
-        x_reprice_[i] = static_cast<double>(x_basic_[i]);
-        last_b_[i] = static_cast<double>(b_[i]);
+        live_.x_reprice[i] = static_cast<double>(live_.x_basic[i]);
+        live_.last_b[i] = static_cast<double>(live_.b[i]);
       }
-      x_basic_stale_ = false;
-      reprice_valid_ = true;
-      reprices_since_full_ = 0;
+      live_.x_basic_stale = false;
+      live_.reprice_valid = true;
+      live_.reprices_since_full = 0;
     }
     // Serve every remaining deferred column the repaired basis already
-    // covers; the rest compact in place and wait for the next episode.
-    std::size_t keep = head;
-    for (std::size_t r = head; r < stale_cols_.size(); ++r) {
-      const std::size_t d = stale_cols_[r];
-      LpResult& res = out[d];
-      kernel_base_ = g_lp_kernel_counters;
-      stats_.ResetPivots();
-      iterations_ = 0;
-      numerical_failure_ = false;
-      max_iterations_ = batch_max_iterations;
-      RepriceRhs(rhs_batch[d]);
-      if (rhs_unchanged_ && witness_scan_ok_) {
-        ExtractOptimal(LpEvalPath::kWitness, res, /*repeat=*/true);
-        continue;
-      }
-      if (ScanBasics() == ScanVerdict::kFeasible) {
-        witness_scan_ok_ = true;
-        ExtractOptimal(LpEvalPath::kWitness, res);
-        continue;
-      }
-      witness_scan_ok_ = false;
-      stale_cols_[keep++] = d;
-    }
-    stale_cols_.resize(keep);
+    // covers; the rest wait for the next episode.
+    WitnessSweep(rhs_batch, out, head);
   }
+}
+
+void RevisedSimplex::WitnessSweep(
+    std::span<const std::vector<double>> rhs_batch,
+    std::vector<LpResult>& out, std::size_t from) {
+  const int max_iterations = MaxIterations();
+  std::size_t keep = from;
+  for (std::size_t r = from; r < stale_cols_.size(); ++r) {
+    const std::size_t c = stale_cols_[r];
+    LpResult& result = out[c];
+    kernel_base_ = g_lp_kernel_counters;
+    stats_.ResetPivots();
+    iterations_ = 0;
+    numerical_failure_ = false;
+    max_iterations_ = max_iterations;
+    NormalizeRhs(rhs_batch[c]);
+    RepriceNormalized();
+    if (rhs_unchanged_ && live_.witness_scan_ok) {
+      ExtractOptimal(LpEvalPath::kWitness, result, /*repeat=*/true);
+      continue;
+    }
+    if (ScanBasics() == ScanVerdict::kFeasible) {
+      live_.witness_scan_ok = true;
+      ExtractOptimal(LpEvalPath::kWitness, result);
+      continue;
+    }
+    live_.witness_scan_ok = false;
+    stale_cols_[keep++] = c;
+  }
+  stale_cols_.resize(keep);
 }
 
 }  // namespace lpb

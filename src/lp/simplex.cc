@@ -1,17 +1,11 @@
 #include "lp/simplex.h"
 
-#include "lp/tableau.h"
+#include "lp/dense_tableau.h"
 
 namespace lpb {
 
-// The one-shot entry point: compile a tableau (dense or revised backend,
-// per options/LPB_LP_BACKEND), run the two-phase simplex, throw the
-// tableau away. Callers that re-solve the same matrix with different
-// right-hand sides should hold a SimplexTableau instead (lp/tableau.h)
-// and use ResolveWithRhs.
 LpResult SolveLp(const LpProblem& problem, const SimplexOptions& options) {
-  SimplexTableau tableau(problem, options);
-  return tableau.Solve();
+  return DenseTableau(problem, options).Solve();
 }
 
 }  // namespace lpb

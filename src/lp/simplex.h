@@ -1,12 +1,14 @@
-// Dense two-phase primal simplex solver.
+// LP solver vocabulary (status, evaluation path, options, per-call
+// statistics, results) and the one-shot solver SolveLp.
 //
-// Solves `maximize c'x s.t. Ax {<=,>=,=} b, x >= 0` on a dense tableau.
-// Phase 1 drives artificial variables out of the basis; phase 2 optimizes
-// the real objective. Pricing is Dantzig's rule; the leaving row is chosen
-// by a lexicographic ratio test, which guarantees termination on the
-// heavily degenerate cutting-plane LPs of the bound engine. Dual values for every constraint are recovered from the final
-// objective row — the bound engines use them as the witness coefficients
-// w_i of the paper's information inequality (8).
+// Two solvers share these types. SolveLp runs a dense long-double tableau
+// once, cold: two-phase primal simplex, Dantzig pricing, lexicographic
+// ratio test (lp/dense_tableau.h). SimplexTableau (lp/tableau.h) is the
+// compile-once / re-price handle the bound engines evaluate through: a
+// sparse revised simplex over an LU-factorized basis
+// (lp/revised_simplex.h). Dual values for every constraint come back with
+// each optimal result — the bound engines use them as the witness
+// coefficients w_i of the paper's information inequality (8).
 #ifndef LPB_LP_SIMPLEX_H_
 #define LPB_LP_SIMPLEX_H_
 
@@ -28,23 +30,11 @@ enum class LpStatus {
 // pure read-off of the still-optimal cached basis (kWitness).
 enum class LpEvalPath { kCold, kWarm, kWitness };
 
-// Which solver implementation runs under SolveLp / SimplexTableau.
-//   kDefault — consult the LPB_LP_BACKEND environment variable ("dense" or
-//              "revised"); dense when unset. This is the only value that
-//              honors the env var, so tests pinning a backend stay pinned.
-//   kDense   — the dense long-double tableau (lp/dense_tableau.h).
-//   kRevised — the sparse revised simplex with an LU-factorized basis
-//              (lp/revised_simplex.h).
-enum class LpBackendKind { kDefault, kDense, kRevised };
-
-// "dense" / "revised"; kDefault renders as "default".
-const char* LpBackendName(LpBackendKind kind);
-
-// Pricing rule of the revised backend's primal phases (the dense tableau
-// always prices with Dantzig's rule).
+// Pricing rule of the revised simplex's primal phases (the one-shot dense
+// solver behind SolveLp always prices with Dantzig's rule).
 //   kDefault — consult LPB_LP_PRICING ("dantzig" or "devex"); dantzig when
-//              unset. Like LpBackendKind::kDefault, this is the only value
-//              that honors the env var, so tests pinning a rule stay pinned.
+//              unset. This is the only value that honors the env var, so
+//              tests pinning a rule stay pinned.
 //   kDantzig — most positive reduced cost (the original rule).
 //   kDevex   — Devex reference-framework pricing: approximate steepest-edge
 //              weights updated per pivot, reference frame reset on weight
@@ -57,17 +47,6 @@ enum class PricingRule { kDefault, kDantzig, kDevex };
 
 // "dantzig" / "devex"; kDefault renders as "default".
 const char* PricingRuleName(PricingRule rule);
-
-// How the revised backend's LU basis absorbs a pivot (lp/lu_basis.h).
-//   kDefault       — consult LPB_LP_UPDATE ("eta" or "ft"); Forrest–Tomlin
-//                    when unset.
-//   kForrestTomlin — rewrite U in place (spike column + row elimination);
-//                    long update chains between refactorizations.
-//   kEta           — legacy product-form eta file (refactorize-on-threshold).
-enum class BasisUpdateKind { kDefault, kEta, kForrestTomlin };
-
-// "eta" / "ft"; kDefault renders as "default".
-const char* BasisUpdateName(BasisUpdateKind kind);
 
 // SIMD dispatch of the double-precision LP kernels (lp/kernels.h).
 //   kDefault — consult LPB_LP_SIMD ("auto" or "scalar"); auto when unset.
@@ -86,13 +65,13 @@ const char* SimdModeName(SimdMode mode);
 
 // Whether the cutting-plane engines carry the previous round's optimal
 // basis across cut-growth rounds (AddConstraintsWarm + dual-simplex repair,
-// see lp/lp_backend.h) instead of rebuilding the tableau and re-solving
+// see lp/tableau.h) instead of rebuilding the tableau and re-solving
 // cold from the identity basis.
 //   kDefault — consult LPB_LP_CUT_WARM ("0"/"off" disables); on when unset.
 //              Like the other kDefault knobs, this is the only value that
 //              honors the env var, so tests pinning a mode stay pinned.
 //   kOn      — append cut rows warm; fall back to a cold rebuild only when
-//              the backend declines the append (see AddConstraintsWarm).
+//              the tableau declines the append (see AddConstraintsWarm).
 //   kOff     — always rebuild + cold-solve per round (the pre-PR-7 path).
 // Warm and cold converge to the same bound (the cut oracle separates on
 // the optimal vertex either way); the knob exists as a correctness
@@ -131,10 +110,9 @@ struct LpSolveStats {
   int dual_pivots = 0;        // dual-simplex (warm repair) pivots
   int refactorizations = 0;   // full LU factorizations after the first
   int ft_updates = 0;         // Forrest–Tomlin in-place U updates taken
-  int eta_updates = 0;        // product-form eta updates taken
   int rejected_updates = 0;   // updates refused (unstable), forcing refactor
   int devex_resets = 0;       // Devex reference-framework resets
-  // Warm cut-round accounting (see AddConstraintsWarm in lp/lp_backend.h).
+  // Warm cut-round accounting (see AddConstraintsWarm in lp/tableau.h).
   int warm_cut_rounds = 0;          // cut rounds served by a warm row append
   int dual_repair_pivots = 0;       // dual pivots spent repairing appended
                                     // rows (a subset of dual_pivots)
@@ -153,7 +131,7 @@ struct LpSolveStats {
     return phase1_pivots + phase2_pivots + dual_pivots;
   }
   // Zeroes the pivot counters only. The kernel arrays are rewritten
-  // wholesale by the backends' FillKernelStats on every exit path, so
+  // wholesale by the solvers' FillKernelStats on every exit path, so
   // clearing them per batch column (256 bytes) would be pure overhead;
   // use `*this = {}` when the struct escapes without a FillKernelStats.
   void ResetPivots() {
@@ -162,7 +140,6 @@ struct LpSolveStats {
     dual_pivots = 0;
     refactorizations = 0;
     ft_updates = 0;
-    eta_updates = 0;
     rejected_updates = 0;
     devex_resets = 0;
     warm_cut_rounds = 0;
@@ -176,7 +153,6 @@ struct LpSolveStats {
     dual_pivots += o.dual_pivots;
     refactorizations += o.refactorizations;
     ft_updates += o.ft_updates;
-    eta_updates += o.eta_updates;
     rejected_updates += o.rejected_updates;
     devex_resets += o.devex_resets;
     warm_cut_rounds += o.warm_cut_rounds;
@@ -210,10 +186,8 @@ struct LpResult {
   int iterations = 0;
   // Which evaluation path produced this result (always kCold for SolveLp).
   LpEvalPath path = LpEvalPath::kCold;
-  // Which solver backend produced this result (never kDefault).
-  LpBackendKind backend = LpBackendKind::kDense;
   // Which pricing rule the primal phases ran (never kDefault; always
-  // kDantzig from the dense backend).
+  // kDantzig from SolveLp).
   PricingRule pricing = PricingRule::kDantzig;
   // Pivot / update / refactorization counters for this call.
   LpSolveStats stats;
@@ -226,20 +200,13 @@ struct SimplexOptions {
   // Degeneracy is handled by the lexicographic ratio test, so this defaults
   // to off; it remains available for experimentation.
   double perturb = 0.0;
-  // Solver implementation. kDefault reads LPB_LP_BACKEND and falls back to
-  // the dense tableau; set kDense/kRevised to pin a backend regardless of
-  // the environment.
-  LpBackendKind backend = LpBackendKind::kDefault;
-  // Pricing rule for the revised backend's primal phases (ignored by the
-  // dense tableau, which always runs Dantzig). kDefault reads
-  // LPB_LP_PRICING and falls back to Dantzig; set kDantzig/kDevex to pin.
+  // Pricing rule for SimplexTableau's primal phases (ignored by SolveLp,
+  // which always runs Dantzig). kDefault reads LPB_LP_PRICING and falls
+  // back to Dantzig; set kDantzig/kDevex to pin.
   PricingRule pricing = PricingRule::kDefault;
-  // Basis-update scheme of the revised backend (ignored by dense).
-  // kDefault reads LPB_LP_UPDATE and falls back to Forrest–Tomlin.
-  BasisUpdateKind basis_update = BasisUpdateKind::kDefault;
-  // Basis updates carried between full refactorizations (revised backend).
-  // 0 = automatic: 64 for Forrest–Tomlin, 32 for the eta file. The fill
-  // budget in lp/lu_basis.h can force an earlier refactorization either way.
+  // Forrest–Tomlin basis updates carried between full refactorizations
+  // (SimplexTableau). 0 = automatic: 64. The fill budget in lp/lu_basis.h
+  // can force an earlier refactorization.
   int max_basis_updates = 0;
   // SIMD dispatch of the double-precision kernels (lp/kernels.h). kDefault
   // reads LPB_LP_SIMD and falls back to kAuto; results are bit-identical
@@ -250,8 +217,12 @@ struct SimplexOptions {
   CutWarmStart cut_warm_start = CutWarmStart::kDefault;
 };
 
-// Solves the LP. The problem is copied into an internal tableau; `problem`
-// is not modified.
+// Solves the LP once, cold, on the dense long-double tableau
+// (lp/dense_tableau.h). The problem is copied; `problem` is not modified.
+// This is the one-shot solver behind the one-shot bound entry points and
+// the independent reference the compiled path is tested against; callers
+// that re-solve one matrix at many right-hand sides hold a SimplexTableau
+// (lp/tableau.h) instead.
 LpResult SolveLp(const LpProblem& problem, const SimplexOptions& options = {});
 
 }  // namespace lpb

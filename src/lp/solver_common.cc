@@ -1,35 +1,9 @@
-#include "lp/lp_backend.h"
+#include "lp/solver_common.h"
 
 #include <cstdlib>
 #include <cstring>
 
-#include "lp/dense_tableau.h"
-#include "lp/revised_simplex.h"
-
 namespace lpb {
-
-void LpBackendImpl::ResolveWithRhsBatch(
-    std::span<const std::vector<double>> rhs_batch, std::vector<LpResult>& out) {
-  // Reference semantics for the batch contract: the sequential scalar
-  // cascade. Backends override only to amortize, never to reorder. Move-
-  // assigning into the resized slot (rather than push_back into a fresh
-  // vector) keeps the caller's element capacity alive across batches.
-  out.resize(rhs_batch.size());
-  for (std::size_t c = 0; c < rhs_batch.size(); ++c) {
-    out[c] = ResolveWithRhs(rhs_batch[c]);
-  }
-}
-
-bool LpBackendImpl::AddConstraintsWarm(const std::vector<LpConstraint>& rows,
-                                       const std::vector<double>& rhs,
-                                       LpResult& result) {
-  // Backends opt in explicitly; declining tells the caller to rebuild and
-  // solve cold, which is always correct.
-  (void)rows;
-  (void)rhs;
-  (void)result;
-  return false;
-}
 
 NormalizedRows NormalizeRows(const LpProblem& problem,
                              const std::vector<double>& rhs) {
@@ -64,31 +38,6 @@ double NormalizedRhsEntry(const LpProblem& problem,
   return row_sign[i] * b + perturb * (1 + i % 101);
 }
 
-const char* LpBackendName(LpBackendKind kind) {
-  switch (kind) {
-    case LpBackendKind::kDefault:
-      return "default";
-    case LpBackendKind::kDense:
-      return "dense";
-    case LpBackendKind::kRevised:
-      return "revised";
-  }
-  return "unknown";
-}
-
-LpBackendKind ResolveLpBackend(const SimplexOptions& options) {
-  if (options.backend != LpBackendKind::kDefault) return options.backend;
-  // Read the environment on every resolution (not a cached static): tests
-  // and experiment drivers flip LPB_LP_BACKEND within one process.
-  const char* env = std::getenv("LPB_LP_BACKEND");
-  if (env != nullptr && std::strcmp(env, "revised") == 0) {
-    return LpBackendKind::kRevised;
-  }
-  // Dense remains the default until revised-backend parity is proven on a
-  // workload (see src/lp/README.md); unknown values also fall back here.
-  return LpBackendKind::kDense;
-}
-
 const char* PricingRuleName(PricingRule rule) {
   switch (rule) {
     case PricingRule::kDefault:
@@ -103,8 +52,8 @@ const char* PricingRuleName(PricingRule rule) {
 
 PricingRule ResolveLpPricing(const SimplexOptions& options) {
   if (options.pricing != PricingRule::kDefault) return options.pricing;
-  // Like ResolveLpBackend, read the environment on every resolution so
-  // drivers can flip LPB_LP_PRICING within one process.
+  // Read the environment on every resolution (not a cached static): tests
+  // and experiment drivers flip LPB_LP_PRICING within one process.
   const char* env = std::getenv("LPB_LP_PRICING");
   if (env != nullptr && std::strcmp(env, "devex") == 0) {
     return PricingRule::kDevex;
@@ -112,29 +61,6 @@ PricingRule ResolveLpPricing(const SimplexOptions& options) {
   // Dantzig remains the default until Devex has soaked in the CI pricing
   // lane (see ROADMAP); unknown values also fall back here.
   return PricingRule::kDantzig;
-}
-
-const char* BasisUpdateName(BasisUpdateKind kind) {
-  switch (kind) {
-    case BasisUpdateKind::kDefault:
-      return "default";
-    case BasisUpdateKind::kEta:
-      return "eta";
-    case BasisUpdateKind::kForrestTomlin:
-      return "ft";
-  }
-  return "unknown";
-}
-
-BasisUpdateKind ResolveBasisUpdate(const SimplexOptions& options) {
-  if (options.basis_update != BasisUpdateKind::kDefault) {
-    return options.basis_update;
-  }
-  const char* env = std::getenv("LPB_LP_UPDATE");
-  if (env != nullptr && std::strcmp(env, "eta") == 0) {
-    return BasisUpdateKind::kEta;
-  }
-  return BasisUpdateKind::kForrestTomlin;
 }
 
 const char* SimdModeName(SimdMode mode) {
@@ -212,14 +138,6 @@ const char* LpKernelName(LpKernelId id) {
       break;
   }
   return "unknown";
-}
-
-std::unique_ptr<LpBackendImpl> MakeLpBackend(const LpProblem& problem,
-                                             const SimplexOptions& options) {
-  if (ResolveLpBackend(options) == LpBackendKind::kRevised) {
-    return std::make_unique<RevisedSimplex>(problem, options);
-  }
-  return std::make_unique<DenseTableau>(problem, options);
 }
 
 }  // namespace lpb

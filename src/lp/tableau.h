@@ -9,110 +9,34 @@
 // and re-evaluated per statistics snapshot.
 //
 // Three evaluation paths, cheapest first (LpResult::path reports which ran):
-//   * kWitness — the optimal basis cached by the previous solve is still
+//   * kWitness — an optimal basis cached by an earlier solve is still
 //     primal-feasible at the new RHS. Since the matrix and objective are
 //     unchanged, the basis is still dual-feasible by construction, so the
 //     result is read off the cached factorization with zero pivots: the new
 //     basic solution is B⁻¹b' (only the nonzero RHS entries contribute) and
-//     the duals — the paper's witness weights w_i — are unchanged.
+//     the duals — the paper's witness weights w_i — are unchanged. Two
+//     optimal bases are cached (the live one and the one the last warm
+//     re-solve repaired from), so two value vectors that alternate on one
+//     compiled matrix are both served here (see lp/revised_simplex.h).
 //   * kWarm — the cached basis went primal-infeasible; dual-simplex pivots
 //     restore feasibility starting from the still-dual-feasible basis,
 //     typically in a handful of iterations for small RHS perturbations.
 //   * kCold — no cached basis (first solve, or the previous solve did not
 //     end optimal), or the warm path failed; full two-phase primal simplex.
 //
-// The pivoting itself is delegated to one of two backends chosen at
-// construction (SimplexOptions::backend, or the LPB_LP_BACKEND environment
-// variable when the option is kDefault): the dense long-double tableau
-// (lp/dense_tableau.h, the default) or the sparse revised simplex with an
-// LU-factorized basis (lp/revised_simplex.h). Both honor the identical
-// contract; LpResult::backend reports which one served a result. See
-// src/lp/README.md for the selection and parity story.
+// SimplexTableau is the sparse revised simplex with an LU-factorized basis
+// (lp/revised_simplex.h, where each entry point is documented). The
+// one-shot SolveLp (lp/simplex.h) is a separate dense tableau that solves
+// cold only; the differential harness checks this class against it. See
+// src/lp/README.md.
 #ifndef LPB_LP_TABLEAU_H_
 #define LPB_LP_TABLEAU_H_
 
-#include <memory>
-#include <span>
-#include <vector>
-
-#include "lp/lp_backend.h"
-#include "lp/lp_problem.h"
-#include "lp/simplex.h"
+#include "lp/revised_simplex.h"
 
 namespace lpb {
 
-class SimplexTableau {
- public:
-  // Compiles the column layout and row normalization from `problem`. The
-  // problem is copied; the tableau owns everything it needs.
-  explicit SimplexTableau(const LpProblem& problem,
-                          const SimplexOptions& options = {});
-
-  int num_constraints() const { return num_constraints_; }
-
-  // Which backend this tableau pivots with (resolved, never kDefault).
-  LpBackendKind backend() const { return kind_; }
-
-  // Cold two-phase solve. `rhs` (size num_constraints) overrides the
-  // problem's right-hand sides; empty uses the problem's own. On an optimal
-  // finish the final basis is cached for ResolveWithRhs.
-  LpResult Solve(const std::vector<double>& rhs = {});
-
-  // Warm re-solve against a new RHS, reusing the cached optimal basis (see
-  // file comment for the witness / warm / cold cascade). Behaves like
-  // Solve(rhs) when no basis is cached.
-  LpResult ResolveWithRhs(const std::vector<double>& rhs);
-
-  // Multi-RHS warm re-solve: runs the cascade on every column of
-  // `rhs_batch` in order, producing results identical to per-column
-  // ResolveWithRhs calls (the cached basis evolves across columns exactly
-  // as it would across scalar calls). The revised backend amortizes the
-  // block: one cached LU factorization serves an FTRAN per column and the
-  // cached duals (one cost-row BTRAN) serve every witness-valid column;
-  // only columns whose basis goes stale pay dual-simplex or cold work.
-  std::vector<LpResult> ResolveWithRhsBatch(
-      std::span<const std::vector<double>> rhs_batch);
-  // Allocation-free form: results land in `out` (resized and fully
-  // overwritten), so a caller looping over batches reuses the vector and
-  // each element's x/duals capacity instead of re-allocating per column.
-  void ResolveWithRhsBatch(std::span<const std::vector<double>> rhs_batch,
-                           std::vector<LpResult>& out);
-
-  // Order-relaxed block resolve: same objective values and statuses as
-  // ResolveWithRhsBatch, but witness-valid columns are served first
-  // against one pinned basis (keeping the B⁻¹-column memo and the
-  // incremental re-price baseline valid for the whole pass) and stale
-  // columns pivot afterwards — so a handful of pivoting columns no longer
-  // forces every later column back to full FTRAN re-prices. Not bitwise
-  // identical to the scalar sequence; used by the cutting-plane batch
-  // path, whose parity contract is tolerance, not bits (bound_engine.h).
-  void ResolveWithRhsBatchRelaxed(
-      std::span<const std::vector<double>> rhs_batch,
-      std::vector<LpResult>& out);
-
-  // Incremental row append on top of the cached optimal basis (the
-  // cutting-plane growth path): installs `rows` with their slacks basic —
-  // the previous optimum keeps its duals, so the extended basis is dual
-  // feasible by construction — and runs dual simplex to repair only the
-  // rows the old optimum violates. `rhs` is the full new RHS including the
-  // appended rows. Returns false when the backend declines (no cached
-  // basis, a row that does not normalize to <=, or an existing artificial
-  // column); on decline the tableau is unchanged and the caller must
-  // recompile + solve cold. See LpBackendImpl::AddConstraintsWarm.
-  bool AddConstraintsWarm(const std::vector<LpConstraint>& rows,
-                          const std::vector<double>& rhs, LpResult& result);
-
-  // True after a solve that ended kOptimal: ResolveWithRhs can warm-start.
-  bool has_optimal_basis() const { return impl_->has_optimal_basis(); }
-  // Basic column index per row of the cached basis (internal column ids:
-  // structural columns first, then slack/surplus, then artificial).
-  const std::vector<int>& basis() const { return impl_->basis(); }
-
- private:
-  LpBackendKind kind_;
-  int num_constraints_;
-  std::unique_ptr<LpBackendImpl> impl_;
-};
+using SimplexTableau = RevisedSimplex;
 
 }  // namespace lpb
 

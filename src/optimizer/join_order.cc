@@ -18,10 +18,11 @@ double SaturatingExp2(double log2) {
   return std::exp2(std::max(log2, -120.0));
 }
 
-// Costs within this relative tolerance are ties. The two LP backends agree
-// on bounds only to solver tolerance, so a strict `<` would let ulp noise
-// pick different plans per backend; eps-ties instead fall through to the
-// tiebreak sum and then to enumeration order, both backend-independent.
+// Costs within this relative tolerance are ties. Bounds served along
+// different LP paths (pricing rule, cached basis, warm vs cold) agree only
+// to solver tolerance, so a strict `<` would let ulp noise pick different
+// plans; eps-ties instead fall through to the tiebreak sum and then to
+// enumeration order, both path-independent.
 constexpr double kCostRelEps = 1e-5;
 
 bool TolerantLess(double a, double b) {

@@ -231,5 +231,96 @@ TEST(Advisor, EstimateLinearSpace) {
   EXPECT_NEAR(std::log2(advisor.Estimate(q)), advisor.EstimateLog2(q), 1e-9);
 }
 
+// A bad atom reaches the catalog only on a statistics miss, and both kinds
+// used to take the process down there: an unknown relation made
+// Catalog::Get dereference end() (std::bad_alloc in the default build),
+// and an atom wider than its relation read past each row (a segfault for
+// title(X,Y,Z,W,V)). Now the query resolves to quiet NaN on every entry
+// point, is not counted as an estimate, and leaves the rest alone.
+void ExpectBadQueryIsNaN(CardinalityAdvisor& advisor, const Query& bad,
+                         const Query& good) {
+  const double good_log2 = advisor.EstimateLog2(good);
+  ASSERT_TRUE(std::isfinite(good_log2));
+  const uint64_t estimates = advisor.metrics().estimates;
+  EXPECT_TRUE(std::isnan(advisor.EstimateLog2(bad))) << bad.ToString();
+  EXPECT_TRUE(std::isnan(advisor.Estimate(bad))) << bad.ToString();
+  EXPECT_TRUE(std::isnan(advisor.Explain(bad).bound.log2_bound));
+  const std::vector<std::vector<double>> what_if = {{1.0, 2.0}};
+  const std::vector<double> probes = advisor.EstimateLog2Batch(bad, what_if);
+  ASSERT_EQ(probes.size(), 1u);
+  EXPECT_TRUE(std::isnan(probes[0]));
+  const std::vector<double> mixed =
+      advisor.EstimateLog2Batch(std::vector<Query>{good, bad, good});
+  ASSERT_EQ(mixed.size(), 3u);
+  EXPECT_NEAR(mixed[0], good_log2, 1e-9);
+  EXPECT_TRUE(std::isnan(mixed[1]));
+  EXPECT_NEAR(mixed[2], good_log2, 1e-9);
+  // Only the two good batch entries (and Explain's failed call, which
+  // evaluates nothing) touch the counters.
+  EXPECT_EQ(advisor.metrics().estimates, estimates + 2);
+  EXPECT_NEAR(advisor.EstimateLog2(good), good_log2, 1e-9);
+}
+
+TEST(Advisor, UnknownRelationYieldsNaN) {
+  Catalog db = SmallDb();
+  CardinalityAdvisor advisor(db);
+  ExpectBadQueryIsNaN(advisor, Parse("R(X,Y), Missing(Y,Z)"),
+                      Parse("R(X,Y), S(Y,Z)"));
+}
+
+TEST(Advisor, ArityMismatchYieldsNaN) {
+  JobWorkloadOptions options;
+  options.scale = 0.05;
+  JobWorkload wl = GenerateJobWorkload(options);
+  CardinalityAdvisor advisor(wl.catalog);
+  ExpectBadQueryIsNaN(advisor, Parse("title(X,Y,Z,W,V)"),
+                      Parse("title(X,Y)"));
+  // Narrower than the relation is a mismatch too.
+  Catalog db = SmallDb();
+  CardinalityAdvisor small(db);
+  ExpectBadQueryIsNaN(small, Parse("R(X), S(X,Y)"), Parse("R(X,Y), S(Y,Z)"));
+}
+
+// The arity is a property of the atom, not of the statistics key: R(X)
+// and R(X,X) share the key of R's first column, and in one batch on a
+// cold store only the first is bad.
+TEST(Advisor, BadAtomSharingAStatisticKeyLeavesTheGoodQueryAlone) {
+  Catalog db = SmallDb();
+  CardinalityAdvisor advisor(db);
+  const Query bad = Parse("R(X)");
+  const Query good = Parse("R(X,X)");
+  const std::vector<double> got =
+      advisor.EstimateLog2Batch(std::vector<Query>{bad, good});
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_TRUE(std::isnan(got[0]));
+  CardinalityAdvisor reference(db);
+  EXPECT_NEAR(got[1], reference.EstimateLog2(good), 1e-9);
+}
+
+// The warm-store order of the same pair: once R(X,X) has cached the
+// shared key, R(X) hits it, and the hit itself must reject the atom.
+TEST(Advisor, BadAtomHittingAWarmStatisticIsStillNaN) {
+  Catalog db = SmallDb();
+  CardinalityAdvisor advisor(db);
+  const Query bad = Parse("R(X)");
+  const Query good = Parse("R(X,X)");
+  const double good_log2 = advisor.EstimateLog2(good);
+  ASSERT_TRUE(std::isfinite(good_log2));
+  const uint64_t misses = advisor.metrics().norm_misses;
+  EXPECT_TRUE(std::isnan(advisor.EstimateLog2(bad)));
+  EXPECT_TRUE(std::isnan(advisor.Explain(bad).bound.log2_bound));
+  const std::vector<double> probes =
+      advisor.EstimateLog2Batch(bad, std::vector<std::vector<double>>{{1.0}});
+  ASSERT_EQ(probes.size(), 1u);
+  EXPECT_TRUE(std::isnan(probes[0]));
+  const std::vector<double> got =
+      advisor.EstimateLog2Batch(std::vector<Query>{bad, good});
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_TRUE(std::isnan(got[0]));
+  EXPECT_NEAR(got[1], good_log2, 1e-9);
+  // Every lookup above hit the store: the hits did the rejecting.
+  EXPECT_EQ(advisor.metrics().norm_misses, misses);
+}
+
 }  // namespace
 }  // namespace lpb

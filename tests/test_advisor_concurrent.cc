@@ -413,35 +413,30 @@ TEST(NormCacheBatch, EightThreadMixedBatchAndInvalidateStress) {
 TEST(AdvisorBatchAssembly, BatchedStatisticsAreBitwiseScalarOnAllEngines) {
   // AssembleStatisticsBatch must return, per query, exactly the statistics
   // the scalar Explain path assembles — same order, same labels, same
-  // log_b to the last bit — on every bound engine and both LP backends
-  // (the assembly is upstream of the engine, but engine choice changes
-  // which statistics downstream code trusts, so pin all of them).
+  // log_b to the last bit — on every bound engine (the assembly is
+  // upstream of the engine, but engine choice changes which statistics
+  // downstream code trusts, so pin all of them).
   Catalog db = StressDb();
   const std::vector<Query> queries = StressQueries();
   for (const char* engine : {"gamma", "normal", "auto", "agm", "panda"}) {
-    for (const LpBackendKind backend :
-         {LpBackendKind::kDense, LpBackendKind::kRevised}) {
-      AdvisorOptions options;
-      options.bound_engine = engine;
-      options.engine.simplex.backend = backend;
-      CardinalityAdvisor advisor(db, options);
-      // Repeats across queries exercise the batch dedup path.
-      std::vector<Query> doubled = queries;
-      doubled.insert(doubled.end(), queries.begin(), queries.end());
-      const auto batched = advisor.AssembleStatisticsBatch(doubled);
-      ASSERT_EQ(batched.size(), doubled.size());
-      for (size_t i = 0; i < doubled.size(); ++i) {
-        const auto scalar = advisor.Explain(doubled[i]).stats;
-        ASSERT_EQ(batched[i].size(), scalar.size())
-            << engine << " query " << i;
-        for (size_t s = 0; s < scalar.size(); ++s) {
-          EXPECT_EQ(batched[i][s].log_b, scalar[s].log_b)  // bitwise
-              << engine << " query " << i << " stat " << s;
-          EXPECT_EQ(batched[i][s].p, scalar[s].p);
-          EXPECT_EQ(batched[i][s].guard_atom, scalar[s].guard_atom);
-          EXPECT_EQ(batched[i][s].sigma.u, scalar[s].sigma.u);
-          EXPECT_EQ(batched[i][s].sigma.v, scalar[s].sigma.v);
-        }
+    AdvisorOptions options;
+    options.bound_engine = engine;
+    CardinalityAdvisor advisor(db, options);
+    // Repeats across queries exercise the batch dedup path.
+    std::vector<Query> doubled = queries;
+    doubled.insert(doubled.end(), queries.begin(), queries.end());
+    const auto batched = advisor.AssembleStatisticsBatch(doubled);
+    ASSERT_EQ(batched.size(), doubled.size());
+    for (size_t i = 0; i < doubled.size(); ++i) {
+      const auto scalar = advisor.Explain(doubled[i]).stats;
+      ASSERT_EQ(batched[i].size(), scalar.size()) << engine << " query " << i;
+      for (size_t s = 0; s < scalar.size(); ++s) {
+        EXPECT_EQ(batched[i][s].log_b, scalar[s].log_b)  // bitwise
+            << engine << " query " << i << " stat " << s;
+        EXPECT_EQ(batched[i][s].p, scalar[s].p);
+        EXPECT_EQ(batched[i][s].guard_atom, scalar[s].guard_atom);
+        EXPECT_EQ(batched[i][s].sigma.u, scalar[s].sigma.u);
+        EXPECT_EQ(batched[i][s].sigma.v, scalar[s].sigma.v);
       }
     }
   }

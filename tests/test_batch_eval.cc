@@ -6,7 +6,7 @@
 // it would across scalar calls. These tests hold every layer to it
 // *bitwise* — two identically compiled bounds, one driven scalar and one
 // batched, must produce equal doubles, equal eval paths, and equal
-// counters on every engine and both LP backends. The one deliberate
+// counters on every engine. The one deliberate
 // exception is the Γn cutting-plane mode, whose batch shares a cut pool
 // and so promises tolerance parity on the converged bounds instead (see
 // CuttingPlaneModeSharesCutPoolWithScalarParity).
@@ -79,7 +79,6 @@ void ExpectBitwiseEqual(const BoundResult& a, const BoundResult& b,
   EXPECT_EQ(a.status, b.status) << context;
   EXPECT_EQ(a.log2_bound, b.log2_bound) << context;
   EXPECT_EQ(a.eval_path, b.eval_path) << context;
-  EXPECT_EQ(a.lp_backend, b.lp_backend) << context;
   EXPECT_EQ(a.lp_iterations, b.lp_iterations) << context;
   EXPECT_EQ(a.cut_rounds, b.cut_rounds) << context;
   // The per-call solver statistics are part of the parity contract too:
@@ -92,7 +91,6 @@ void ExpectBitwiseEqual(const BoundResult& a, const BoundResult& b,
   EXPECT_EQ(a.lp_stats.refactorizations, b.lp_stats.refactorizations)
       << context;
   EXPECT_EQ(a.lp_stats.ft_updates, b.lp_stats.ft_updates) << context;
-  EXPECT_EQ(a.lp_stats.eta_updates, b.lp_stats.eta_updates) << context;
   EXPECT_EQ(a.lp_stats.rejected_updates, b.lp_stats.rejected_updates)
       << context;
   EXPECT_EQ(a.lp_stats.devex_resets, b.lp_stats.devex_resets) << context;
@@ -114,19 +112,18 @@ void ExpectBitwiseEqual(const BoundResult& a, const BoundResult& b,
 
 // Compiles `stats`' structure twice with identical options and drives one
 // copy scalar, one batched; every per-column result and the final counters
-// must agree bitwise. `pricing` pins the revised backend's pricing rule;
+// must agree bitwise. `pricing` pins the revised simplex's pricing rule;
 // `max_basis_updates` = 1 forces a refactorization after every pivot, the
 // worst case for mid-batch factorization churn.
 void CheckEngineBatchParity(const std::string& engine_name,
                             const std::vector<ConcreteStatistic>& stats,
-                            int n, LpBackendKind backend, bool want_h_opt,
+                            int n, bool want_h_opt,
                             PricingRule pricing = PricingRule::kDefault,
                             int max_basis_updates = 0,
                             SimdMode simd = SimdMode::kDefault) {
   const BoundEngine* engine = FindBoundEngine(engine_name);
   ASSERT_NE(engine, nullptr);
   EngineOptions options;
-  options.simplex.backend = backend;
   options.simplex.pricing = pricing;
   options.simplex.max_basis_updates = max_basis_updates;
   options.simplex.simd = simd;
@@ -145,8 +142,7 @@ void CheckEngineBatchParity(const std::string& engine_name,
       batch_bound->EvaluateBatch(batch, want_h_opt);
 
   ASSERT_EQ(batch_results.size(), scalar_results.size());
-  const std::string context = engine_name + "/" + LpBackendName(backend) +
-                              "/" + PricingRuleName(pricing) +
+  const std::string context = engine_name + "/" + PricingRuleName(pricing) +
                               (want_h_opt ? "/h_opt" : "");
   for (size_t c = 0; c < batch.size(); ++c) {
     ExpectBitwiseEqual(batch_results[c], scalar_results[c],
@@ -162,36 +158,27 @@ void CheckEngineBatchParity(const std::string& engine_name,
             scalar_bound->counters().cold_solves) << context;
 }
 
-TEST(EvaluateBatch, MatchesScalarOnAllEnginesAndBackends) {
-  for (LpBackendKind backend : {LpBackendKind::kDense, LpBackendKind::kRevised}) {
-    for (const char* name : {"gamma", "normal", "auto", "agm", "panda"}) {
-      CheckEngineBatchParity(name, SimpleStats(), 3, backend,
-                             /*want_h_opt=*/false);
-    }
-    for (const char* name : {"gamma", "auto", "agm", "panda"}) {
-      CheckEngineBatchParity(name, NonSimpleStats(), 3, backend,
-                             /*want_h_opt=*/false);
-    }
-    // h_opt materialization must batch identically too.
-    CheckEngineBatchParity("normal", SimpleStats(), 3, backend,
-                           /*want_h_opt=*/true);
-    CheckEngineBatchParity("gamma", NonSimpleStats(), 3, backend,
-                           /*want_h_opt=*/true);
+TEST(EvaluateBatch, MatchesScalarOnAllEngines) {
+  for (const char* name : {"gamma", "normal", "auto", "agm", "panda"}) {
+    CheckEngineBatchParity(name, SimpleStats(), 3, /*want_h_opt=*/false);
   }
+  for (const char* name : {"gamma", "auto", "agm", "panda"}) {
+    CheckEngineBatchParity(name, NonSimpleStats(), 3, /*want_h_opt=*/false);
+  }
+  // h_opt materialization must batch identically too.
+  CheckEngineBatchParity("normal", SimpleStats(), 3, /*want_h_opt=*/true);
+  CheckEngineBatchParity("gamma", NonSimpleStats(), 3, /*want_h_opt=*/true);
 }
 
 TEST(EvaluateBatch, MatchesScalarUnderDevexPricing) {
   // The PR-4 bitwise batch≡scalar contract must survive the new pricing
   // rule: the same suite with Devex pinned as the active rule.
-  for (LpBackendKind backend :
-       {LpBackendKind::kDense, LpBackendKind::kRevised}) {
-    for (const char* name : {"gamma", "normal", "auto", "agm", "panda"}) {
-      CheckEngineBatchParity(name, SimpleStats(), 3, backend,
-                             /*want_h_opt=*/false, PricingRule::kDevex);
-    }
-    CheckEngineBatchParity("gamma", NonSimpleStats(), 3, backend,
-                           /*want_h_opt=*/true, PricingRule::kDevex);
+  for (const char* name : {"gamma", "normal", "auto", "agm", "panda"}) {
+    CheckEngineBatchParity(name, SimpleStats(), 3, /*want_h_opt=*/false,
+                           PricingRule::kDevex);
   }
+  CheckEngineBatchParity("gamma", NonSimpleStats(), 3, /*want_h_opt=*/true,
+                         PricingRule::kDevex);
 }
 
 TEST(EvaluateBatch, MidBatchRefactorizeKeepsParity) {
@@ -201,11 +188,9 @@ TEST(EvaluateBatch, MidBatchRefactorizeKeepsParity) {
   // the batch from the scalar sequence (the B⁻¹ memo keys on
   // factorization identity and must invalidate on every update).
   for (PricingRule pricing : {PricingRule::kDantzig, PricingRule::kDevex}) {
-    CheckEngineBatchParity("gamma", NonSimpleStats(), 3,
-                           LpBackendKind::kRevised, /*want_h_opt=*/false,
+    CheckEngineBatchParity("gamma", NonSimpleStats(), 3, /*want_h_opt=*/false,
                            pricing, /*max_basis_updates=*/1);
-    CheckEngineBatchParity("normal", SimpleStats(), 3,
-                           LpBackendKind::kRevised, /*want_h_opt=*/false,
+    CheckEngineBatchParity("normal", SimpleStats(), 3, /*want_h_opt=*/false,
                            pricing, /*max_basis_updates=*/1);
   }
 }
@@ -216,62 +201,54 @@ TEST(EvaluateBatch, MatchesScalarUnderForcedSimdModes) {
   // and the kernel_calls comparison inside ExpectBitwiseEqual also pins
   // the per-column kernel schedule under both modes.
   for (SimdMode simd : {SimdMode::kAuto, SimdMode::kScalar}) {
-    for (LpBackendKind backend :
-         {LpBackendKind::kDense, LpBackendKind::kRevised}) {
-      for (const char* name : {"gamma", "normal", "auto"}) {
-        CheckEngineBatchParity(name, SimpleStats(), 3, backend,
-                               /*want_h_opt=*/false, PricingRule::kDefault,
-                               /*max_basis_updates=*/0, simd);
-      }
-      CheckEngineBatchParity("gamma", NonSimpleStats(), 3, backend,
-                             /*want_h_opt=*/false, PricingRule::kDefault,
-                             /*max_basis_updates=*/0, simd);
+    for (const char* name : {"gamma", "normal", "auto"}) {
+      CheckEngineBatchParity(name, SimpleStats(), 3, /*want_h_opt=*/false,
+                             PricingRule::kDefault, /*max_basis_updates=*/0,
+                             simd);
     }
+    CheckEngineBatchParity("gamma", NonSimpleStats(), 3, /*want_h_opt=*/false,
+                           PricingRule::kDefault, /*max_basis_updates=*/0,
+                           simd);
   }
 }
 
 TEST(EvaluateBatch, SimdModesProduceBitwiseIdenticalEstimates) {
   // The tentpole acceptance criterion: simd=auto and simd=scalar are not
-  // merely close — every estimate bit is identical, on every engine and
-  // both LP backends, across witness/warm/cold columns. (On machines
-  // without AVX2+FMA both modes dispatch scalar and this is trivial.)
-  for (LpBackendKind backend :
-       {LpBackendKind::kDense, LpBackendKind::kRevised}) {
-    for (const char* name : {"gamma", "normal", "auto", "agm", "panda"}) {
-      const BoundEngine* engine = FindBoundEngine(name);
-      ASSERT_NE(engine, nullptr);
-      const BoundStructure structure = StructureOf(3, SimpleStats());
-      ASSERT_TRUE(engine->Supports(structure));
-      EngineOptions options;
-      options.simplex.backend = backend;
-      options.simplex.simd = SimdMode::kAuto;
-      auto auto_bound = engine->Compile(structure, options);
-      options.simplex.simd = SimdMode::kScalar;
-      auto scalar_bound = engine->Compile(structure, options);
+  // merely close — every estimate bit is identical, on every engine,
+  // across witness/warm/cold columns. (On machines without AVX2+FMA both
+  // modes dispatch scalar and this is trivial.)
+  for (const char* name : {"gamma", "normal", "auto", "agm", "panda"}) {
+    const BoundEngine* engine = FindBoundEngine(name);
+    ASSERT_NE(engine, nullptr);
+    const BoundStructure structure = StructureOf(3, SimpleStats());
+    ASSERT_TRUE(engine->Supports(structure));
+    EngineOptions options;
+    options.simplex.simd = SimdMode::kAuto;
+    auto auto_bound = engine->Compile(structure, options);
+    options.simplex.simd = SimdMode::kScalar;
+    auto scalar_bound = engine->Compile(structure, options);
 
-      const auto batch = JitteredBatch(SimpleStats(), 99);
-      const std::vector<BoundResult> auto_results =
-          auto_bound->EvaluateBatch(batch, /*want_h_opt=*/true);
-      const std::vector<BoundResult> scalar_results =
-          scalar_bound->EvaluateBatch(batch, /*want_h_opt=*/true);
-      ASSERT_EQ(auto_results.size(), scalar_results.size());
-      const std::string context =
-          std::string(name) + "/" + LpBackendName(backend) + " auto-vs-scalar";
-      for (size_t c = 0; c < auto_results.size(); ++c) {
-        const BoundResult& a = auto_results[c];
-        const BoundResult& s = scalar_results[c];
-        const std::string ctx = context + " column " + std::to_string(c);
-        EXPECT_EQ(a.status, s.status) << ctx;
-        EXPECT_EQ(a.log2_bound, s.log2_bound) << ctx;
-        EXPECT_EQ(a.eval_path, s.eval_path) << ctx;
-        ASSERT_EQ(a.weights.size(), s.weights.size()) << ctx;
-        for (size_t i = 0; i < a.weights.size(); ++i) {
-          EXPECT_EQ(a.weights[i], s.weights[i]) << ctx << " weight " << i;
-        }
-        ASSERT_EQ(a.h_opt.size(), s.h_opt.size()) << ctx;
-        for (VarSet v = 0; v < a.h_opt.size(); ++v) {
-          EXPECT_EQ(a.h_opt[v], s.h_opt[v]) << ctx << " h_opt " << v;
-        }
+    const auto batch = JitteredBatch(SimpleStats(), 99);
+    const std::vector<BoundResult> auto_results =
+        auto_bound->EvaluateBatch(batch, /*want_h_opt=*/true);
+    const std::vector<BoundResult> scalar_results =
+        scalar_bound->EvaluateBatch(batch, /*want_h_opt=*/true);
+    ASSERT_EQ(auto_results.size(), scalar_results.size());
+    const std::string context = std::string(name) + " auto-vs-scalar";
+    for (size_t c = 0; c < auto_results.size(); ++c) {
+      const BoundResult& a = auto_results[c];
+      const BoundResult& s = scalar_results[c];
+      const std::string ctx = context + " column " + std::to_string(c);
+      EXPECT_EQ(a.status, s.status) << ctx;
+      EXPECT_EQ(a.log2_bound, s.log2_bound) << ctx;
+      EXPECT_EQ(a.eval_path, s.eval_path) << ctx;
+      ASSERT_EQ(a.weights.size(), s.weights.size()) << ctx;
+      for (size_t i = 0; i < a.weights.size(); ++i) {
+        EXPECT_EQ(a.weights[i], s.weights[i]) << ctx << " weight " << i;
+      }
+      ASSERT_EQ(a.h_opt.size(), s.h_opt.size()) << ctx;
+      for (VarSet v = 0; v < a.h_opt.size(); ++v) {
+        EXPECT_EQ(a.h_opt[v], s.h_opt[v]) << ctx << " h_opt " << v;
       }
     }
   }
@@ -284,43 +261,38 @@ TEST(EvaluateBatch, CuttingPlaneModeSharesCutPoolWithScalarParity) {
   // converge the same finite cut family per column, so bounds agree to
   // floating-point tolerance — not bitwise: the pooled path may reach a
   // different (equal-value) optimal vertex and a different pivot count.
-  for (LpBackendKind backend :
-       {LpBackendKind::kDense, LpBackendKind::kRevised}) {
-    EngineOptions options;
-    options.full_lattice_max_n = 3;
-    options.simplex.backend = backend;
-    const int n = 5;
-    std::vector<ConcreteStatistic> stats;
-    for (int i = 0; i + 1 < n; ++i) {
-      const VarSet u = VarBit(i), v = VarBit(i + 1);
-      stats.push_back(Stat(0, u | v, 1.0, 10.0));
-      stats.push_back(Stat(u, v, 2.0, 6.0));
-      stats.push_back(Stat(v, u, 2.0, 6.0));
-    }
-    const BoundStructure structure = StructureOf(n, stats);
-    auto scalar_bound = FindBoundEngine("gamma")->Compile(structure, options);
-    auto batch_bound = FindBoundEngine("gamma")->Compile(structure, options);
-    const auto batch = JitteredBatch(stats, 99);
-    std::vector<BoundResult> scalar_results;
-    for (const std::vector<double>& values : batch) {
-      scalar_results.push_back(scalar_bound->Evaluate(values, false));
-    }
-    const auto batch_results = batch_bound->EvaluateBatch(batch, false);
-    ASSERT_EQ(batch_results.size(), scalar_results.size());
-    for (size_t c = 0; c < batch.size(); ++c) {
-      const std::string context = std::string(LpBackendName(backend)) +
-                                  " cutting-plane column " +
-                                  std::to_string(c);
-      EXPECT_EQ(batch_results[c].status, scalar_results[c].status) << context;
-      if (batch_results[c].ok() && scalar_results[c].ok()) {
-        EXPECT_NEAR(batch_results[c].log2_bound,
-                    scalar_results[c].log2_bound, 1e-6)
-            << context;
-      }
-    }
-    EXPECT_EQ(batch_bound->counters().evaluations,
-              scalar_bound->counters().evaluations);
+  EngineOptions options;
+  options.full_lattice_max_n = 3;
+  const int n = 5;
+  std::vector<ConcreteStatistic> stats;
+  for (int i = 0; i + 1 < n; ++i) {
+    const VarSet u = VarBit(i), v = VarBit(i + 1);
+    stats.push_back(Stat(0, u | v, 1.0, 10.0));
+    stats.push_back(Stat(u, v, 2.0, 6.0));
+    stats.push_back(Stat(v, u, 2.0, 6.0));
   }
+  const BoundStructure structure = StructureOf(n, stats);
+  auto scalar_bound = FindBoundEngine("gamma")->Compile(structure, options);
+  auto batch_bound = FindBoundEngine("gamma")->Compile(structure, options);
+  const auto batch = JitteredBatch(stats, 99);
+  std::vector<BoundResult> scalar_results;
+  for (const std::vector<double>& values : batch) {
+    scalar_results.push_back(scalar_bound->Evaluate(values, false));
+  }
+  const auto batch_results = batch_bound->EvaluateBatch(batch, false);
+  ASSERT_EQ(batch_results.size(), scalar_results.size());
+  for (size_t c = 0; c < batch.size(); ++c) {
+    const std::string context =
+        "cutting-plane column " + std::to_string(c);
+    EXPECT_EQ(batch_results[c].status, scalar_results[c].status) << context;
+    if (batch_results[c].ok() && scalar_results[c].ok()) {
+      EXPECT_NEAR(batch_results[c].log2_bound,
+                  scalar_results[c].log2_bound, 1e-6)
+          << context;
+    }
+  }
+  EXPECT_EQ(batch_bound->counters().evaluations,
+            scalar_bound->counters().evaluations);
 }
 
 TEST(EvaluateBatch, UnboundedStructureShortCircuitsMidBatch) {
@@ -357,7 +329,7 @@ TEST(EvaluateBatch, UnboundedStructureShortCircuitsMidBatch) {
   }
 }
 
-TEST(ResolveWithRhsBatch, MatchesScalarCascadeOnBothBackends) {
+TEST(ResolveWithRhsBatch, MatchesScalarCascade) {
   Rng rng(1234);
   for (int trial = 0; trial < 20; ++trial) {
     // Random small LP with a feasible region in the positive orthant.
@@ -395,34 +367,29 @@ TEST(ResolveWithRhsBatch, MatchesScalarCascadeOnBothBackends) {
       for (double& b : rhs) b *= 0.3 + 1.6 * rng.NextDouble();
       batch.push_back(std::move(rhs));
     }
-    for (LpBackendKind backend :
-         {LpBackendKind::kDense, LpBackendKind::kRevised}) {
-      SimplexOptions options;
-      options.backend = backend;
-      SimplexTableau scalar_tab(lp, options);
-      SimplexTableau batch_tab(lp, options);
-      ASSERT_EQ(scalar_tab.Solve().status, LpStatus::kOptimal);
-      ASSERT_EQ(batch_tab.Solve().status, LpStatus::kOptimal);
-      const auto batch_results = batch_tab.ResolveWithRhsBatch(batch);
-      ASSERT_EQ(batch_results.size(), batch.size());
-      for (size_t c = 0; c < batch.size(); ++c) {
-        const LpResult scalar = scalar_tab.ResolveWithRhs(batch[c]);
-        const std::string context = std::string(LpBackendName(backend)) +
-                                    " trial " + std::to_string(trial) +
-                                    " column " + std::to_string(c);
-        EXPECT_EQ(batch_results[c].status, scalar.status) << context;
-        EXPECT_EQ(batch_results[c].objective, scalar.objective) << context;
-        EXPECT_EQ(batch_results[c].path, scalar.path) << context;
-        EXPECT_EQ(batch_results[c].iterations, scalar.iterations) << context;
-        ASSERT_EQ(batch_results[c].x.size(), scalar.x.size()) << context;
-        for (size_t j = 0; j < scalar.x.size(); ++j) {
-          EXPECT_EQ(batch_results[c].x[j], scalar.x[j]) << context;
-        }
-        ASSERT_EQ(batch_results[c].duals.size(), scalar.duals.size())
-            << context;
-        for (size_t i = 0; i < scalar.duals.size(); ++i) {
-          EXPECT_EQ(batch_results[c].duals[i], scalar.duals[i]) << context;
-        }
+    SimplexTableau scalar_tab(lp);
+    SimplexTableau batch_tab(lp);
+    ASSERT_EQ(scalar_tab.Solve().status, LpStatus::kOptimal);
+    ASSERT_EQ(batch_tab.Solve().status, LpStatus::kOptimal);
+    std::vector<LpResult> batch_results;
+    batch_tab.ResolveWithRhsBatch(batch, batch_results);
+    ASSERT_EQ(batch_results.size(), batch.size());
+    for (size_t c = 0; c < batch.size(); ++c) {
+      const LpResult scalar = scalar_tab.ResolveWithRhs(batch[c]);
+      const std::string context = "trial " + std::to_string(trial) +
+                                  " column " + std::to_string(c);
+      EXPECT_EQ(batch_results[c].status, scalar.status) << context;
+      EXPECT_EQ(batch_results[c].objective, scalar.objective) << context;
+      EXPECT_EQ(batch_results[c].path, scalar.path) << context;
+      EXPECT_EQ(batch_results[c].iterations, scalar.iterations) << context;
+      ASSERT_EQ(batch_results[c].x.size(), scalar.x.size()) << context;
+      for (size_t j = 0; j < scalar.x.size(); ++j) {
+        EXPECT_EQ(batch_results[c].x[j], scalar.x[j]) << context;
+      }
+      ASSERT_EQ(batch_results[c].duals.size(), scalar.duals.size())
+          << context;
+      for (size_t i = 0; i < scalar.duals.size(); ++i) {
+        EXPECT_EQ(batch_results[c].duals[i], scalar.duals[i]) << context;
       }
     }
   }

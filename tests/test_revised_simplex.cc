@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "bounds/bound_engine.h"
+#include "bounds/normal_engine.h"
+#include "datagen/job_gen.h"
+#include "estimator/advisor.h"
 #include "lp/lp_problem.h"
 #include "lp/lu_basis.h"
 #include "lp/simplex.h"
@@ -205,19 +212,31 @@ TEST(SimplexTableau, RandomResolvesMatchFromScratch) {
 // size `x`/`duals` — a default-constructed LpResult reads as
 // kIterationLimit with empty vectors, and solver paths that forgot to
 // overwrite those leaked stale shapes to callers indexing unconditionally.
-// Both backends are held to the contract.
-class LpFailureContract : public testing::TestWithParam<LpBackendKind> {
+// Both solvers are held to the contract: the one-shot dense SolveLp and
+// the compiled SimplexTableau.
+enum class Solver { kOneShot, kCompiled };
+
+class LpFailureContract : public testing::TestWithParam<Solver> {
  protected:
-  SimplexOptions Options(int max_iterations = 0) const {
+  LpResult Solve(const LpProblem& lp, int max_iterations = 0) {
     SimplexOptions options;
-    options.backend = GetParam();
     options.max_iterations = max_iterations;
-    return options;
+    if (GetParam() == Solver::kOneShot) return SolveLp(lp, options);
+    tableau_.emplace(lp, options);
+    return tableau_->Solve();
+  }
+  // A failed solve must not leave a basis for ResolveWithRhs to reuse.
+  void ExpectNoBasis() const {
+    if (tableau_.has_value()) {
+      EXPECT_FALSE(tableau_->has_optimal_basis());
+    }
   }
   static void ExpectSized(const LpResult& r, const LpProblem& lp) {
     EXPECT_EQ(r.x.size(), static_cast<size_t>(lp.num_vars()));
     EXPECT_EQ(r.duals.size(), static_cast<size_t>(lp.num_constraints()));
   }
+
+  std::optional<SimplexTableau> tableau_;
 };
 
 TEST_P(LpFailureContract, InfeasibleSolveSizesResult) {
@@ -225,19 +244,17 @@ TEST_P(LpFailureContract, InfeasibleSolveSizesResult) {
   lp.SetObjective(0, 1.0);
   lp.AddConstraint({{0, 1.0}, {1, 1.0}}, LpSense::kLe, 1.0);
   lp.AddConstraint({{0, 1.0}, {1, 1.0}}, LpSense::kGe, 3.0);
-  SimplexTableau tableau(lp, Options());
-  const LpResult r = tableau.Solve();
+  const LpResult r = Solve(lp);
   EXPECT_EQ(r.status, LpStatus::kInfeasible);
   ExpectSized(r, lp);
-  EXPECT_FALSE(tableau.has_optimal_basis());
+  ExpectNoBasis();
 }
 
 TEST_P(LpFailureContract, UnboundedSolveSizesResult) {
   LpProblem lp(2);
   lp.SetObjective(0, 1.0);
   lp.AddConstraint({{1, 1.0}}, LpSense::kLe, 3.0);  // x unconstrained
-  SimplexTableau tableau(lp, Options());
-  const LpResult r = tableau.Solve();
+  const LpResult r = Solve(lp);
   EXPECT_EQ(r.status, LpStatus::kUnbounded);
   ExpectSized(r, lp);
 }
@@ -249,25 +266,10 @@ TEST_P(LpFailureContract, IterationLimitSizesResult) {
   lp.AddConstraint({{0, 1.0}, {1, 2.0}}, LpSense::kGe, 4.0);
   lp.AddConstraint({{1, 1.0}, {2, 2.0}}, LpSense::kGe, 5.0);
   lp.AddConstraint({{0, 1.0}, {2, 1.0}}, LpSense::kLe, 9.0);
-  SimplexTableau tableau(lp, Options(/*max_iterations=*/1));
-  const LpResult r = tableau.Solve();
+  const LpResult r = Solve(lp, /*max_iterations=*/1);
   EXPECT_EQ(r.status, LpStatus::kIterationLimit);
   ExpectSized(r, lp);
-  EXPECT_FALSE(tableau.has_optimal_basis());
-}
-
-TEST_P(LpFailureContract, ResolveIntoInfeasibleSizesResult) {
-  LpProblem lp = Textbook();
-  SimplexTableau tableau(lp, Options());
-  ASSERT_EQ(tableau.Solve().status, LpStatus::kOptimal);
-  // x <= -1 with x >= 0: the warm path must fall through to a cold solve
-  // that reports infeasible with properly sized vectors — not a stale
-  // optimal-shaped result from the cached basis.
-  const LpResult r = tableau.ResolveWithRhs({-1.0, 12.0, 18.0});
-  EXPECT_EQ(r.status, LpStatus::kInfeasible);
-  ExpectSized(r, lp);
-  // And the result reports which backend produced it.
-  EXPECT_EQ(r.backend, GetParam());
+  ExpectNoBasis();
 }
 
 TEST_P(LpFailureContract, DefaultResultIsNotSolved) {
@@ -279,12 +281,26 @@ TEST_P(LpFailureContract, DefaultResultIsNotSolved) {
   EXPECT_TRUE(fresh.duals.empty());
 }
 
-INSTANTIATE_TEST_SUITE_P(BothBackends, LpFailureContract,
-                         testing::Values(LpBackendKind::kDense,
-                                         LpBackendKind::kRevised),
-                         [](const testing::TestParamInfo<LpBackendKind>& i) {
-                           return std::string(LpBackendName(i.param));
+INSTANTIATE_TEST_SUITE_P(BothSolvers, LpFailureContract,
+                         testing::Values(Solver::kOneShot, Solver::kCompiled),
+                         [](const testing::TestParamInfo<Solver>& i) {
+                           return std::string(i.param == Solver::kOneShot
+                                                  ? "one_shot"
+                                                  : "compiled");
                          });
+
+TEST(SimplexTableau, ResolveIntoInfeasibleSizesResult) {
+  LpProblem lp = Textbook();
+  SimplexTableau tableau(lp);
+  ASSERT_EQ(tableau.Solve().status, LpStatus::kOptimal);
+  // x <= -1 with x >= 0: the warm path must fall through to a cold solve
+  // that reports infeasible with properly sized vectors — not a stale
+  // optimal-shaped result from the cached basis.
+  const LpResult r = tableau.ResolveWithRhs({-1.0, 12.0, 18.0});
+  EXPECT_EQ(r.status, LpStatus::kInfeasible);
+  EXPECT_EQ(r.x.size(), static_cast<size_t>(lp.num_vars()));
+  EXPECT_EQ(r.duals.size(), static_cast<size_t>(lp.num_constraints()));
+}
 
 // ---------------------------------------------------------------------------
 // LuBasis unit tests: the Forrest–Tomlin update against a from-scratch
@@ -410,19 +426,6 @@ TEST(LuBasisForrestTomlin, UpdateBudgetTripsNeedsRefactorize) {
   EXPECT_EQ(lu.update_count(), 0);
 }
 
-TEST(LuBasisForrestTomlin, LegacyEtaModeStillWorks) {
-  SparseMatrix a = FtTestMatrix();
-  std::vector<int> basis = {0, 1, 2, 3, 4};
-  LuOptions options;
-  options.forrest_tomlin = false;
-  LuBasis lu(options);
-  ASSERT_TRUE(lu.Factorize(a, basis));
-  const std::vector<Scalar> w = FtranColumn(lu, a, 5);
-  ASSERT_TRUE(lu.Update(a, 5, w, 2));
-  basis[2] = 5;
-  ExpectSameSolves(lu, a, basis, "eta update");
-}
-
 // The bound-LP shape: homogeneous >= rows (Shannon cuts) whose RHS stays 0
 // while only the statistics rows move. The warm path must re-price the RHS
 // using only the nonzero entries.
@@ -446,6 +449,141 @@ TEST(SimplexTableau, HomogeneousRowsStayZeroAcrossResolves) {
     ASSERT_EQ(r.status, LpStatus::kOptimal);
     EXPECT_NEAR(r.objective, head, 1e-7);  // chain propagates x0's bound
   }
+}
+
+// ---------------------------------------------------------------------------
+// Two cached optimal bases. The bound LPs are degenerate, so which optimal
+// basis a solve lands on is decided by pricing ties, and two value vectors
+// compiled to one matrix can each have optimal bases the other cannot
+// use. With one cached basis every alternation is a dual-simplex repair;
+// with the basis repaired from kept as a second cache, the first two
+// evaluations are cold + warm and every later one is a witness.
+
+void ExpectWitnessAfterTwo(const std::vector<LpEvalPath>& paths,
+                           const std::string& context) {
+  ASSERT_GT(paths.size(), 2u) << context;
+  for (size_t k = 2; k < paths.size(); ++k) {
+    EXPECT_EQ(paths[k], LpEvalPath::kWitness)
+        << context << ": evaluation " << k;
+  }
+}
+
+// max x + y s.t. x <= a, y <= b, x + y <= c. At (a,b,c) = (1,3,2) the
+// optimal bases are {y,s1,s2} and {x,y,s2}; at (3,1,2) they are {x,s1,s2}
+// and {x,y,s1}. No basis is optimal for both, so a single cached basis
+// is repaired on every switch whatever the pivot rule.
+TEST(SimplexTableau, AlternatingDegeneratePairServesWitnesses) {
+  LpProblem lp(2);
+  lp.SetObjective(0, 1.0);
+  lp.SetObjective(1, 1.0);
+  lp.AddConstraint({{0, 1.0}}, LpSense::kLe, 1.0);
+  lp.AddConstraint({{1, 1.0}}, LpSense::kLe, 3.0);
+  lp.AddConstraint({{0, 1.0}, {1, 1.0}}, LpSense::kLe, 2.0);
+  SimplexTableau tableau(lp);
+  const std::vector<double> rhs[2] = {{1.0, 3.0, 2.0}, {3.0, 1.0, 2.0}};
+  std::vector<LpEvalPath> paths;
+  for (int k = 0; k < 10; ++k) {
+    const LpResult r = tableau.ResolveWithRhs(rhs[k % 2]);
+    ASSERT_EQ(r.status, LpStatus::kOptimal);
+    EXPECT_NEAR(r.objective, 2.0, 1e-9);
+    // The point is this RHS's (a basis swapped in must not serve the
+    // other one's cached x), and the duals certify the value here.
+    const std::vector<double>& b = rhs[k % 2];
+    EXPECT_LE(r.x[0], b[0] + 1e-9) << "evaluation " << k;
+    EXPECT_LE(r.x[1], b[1] + 1e-9) << "evaluation " << k;
+    EXPECT_NEAR(r.x[0] + r.x[1], 2.0, 1e-9) << "evaluation " << k;
+    double dual_obj = 0.0;
+    for (int i = 0; i < 3; ++i) dual_obj += r.duals[i] * b[i];
+    EXPECT_NEAR(dual_obj, r.objective, 1e-9);
+    paths.push_back(r.path);
+  }
+  ExpectWitnessAfterTwo(paths, "x+y pair");
+}
+
+// Three right-hand sides on one LP: the basis serving W fails at X and
+// the other one serves X, then Y; then X comes again. The first basis,
+// now the second cached one, last re-priced at X and failed there, so it
+// must not be swapped back in as an exact repeat of X serving W's cached
+// point (every optimum at W has y > 1, infeasible at X).
+TEST(SimplexTableau, SwappedInBasisNeverServesAnotherRhsPoint) {
+  LpProblem lp(2);
+  lp.SetObjective(0, 1.0);
+  lp.SetObjective(1, 1.0);
+  lp.AddConstraint({{0, 1.0}}, LpSense::kLe, 0.5);
+  lp.AddConstraint({{1, 1.0}}, LpSense::kLe, 3.0);
+  lp.AddConstraint({{0, 1.0}, {1, 1.0}}, LpSense::kLe, 2.0);
+  SimplexTableau tableau(lp);
+  const std::vector<double> w = {0.5, 3.0, 2.0}, x = {3.0, 1.0, 2.0},
+                            y = {3.0, 1.5, 2.0};
+  for (const std::vector<double>* rhs : {&w, &x, &w, &x, &y, &x, &w}) {
+    const LpResult r = tableau.ResolveWithRhs(*rhs);
+    ASSERT_EQ(r.status, LpStatus::kOptimal);
+    EXPECT_LE(r.x[0], (*rhs)[0] + 1e-9);
+    EXPECT_LE(r.x[1], (*rhs)[1] + 1e-9);
+    EXPECT_NEAR(r.x[0] + r.x[1], 2.0, 1e-9);
+  }
+}
+
+// The same shape through a compiled normal-engine bound: cardinalities of
+// R(X), S(Y), T(X,Y) whose values swap which of X, Y is the small side.
+TEST(CompiledBound, AlternatingSyntheticPairServesWitnesses) {
+  const auto stat = [](VarSet v, double log_b) {
+    ConcreteStatistic s;
+    s.sigma = {0, v};
+    s.p = 1.0;
+    s.log_b = log_b;
+    return s;
+  };
+  const std::vector<ConcreteStatistic> stats = {
+      stat(0b01, 1.0), stat(0b10, 3.0), stat(0b11, 2.0)};
+  auto compiled = FindBoundEngine("normal")->Compile(StructureOf(2, stats), {});
+  const std::vector<double> values[2] = {{1.0, 3.0, 2.0}, {3.0, 1.0, 2.0}};
+  std::vector<LpEvalPath> paths;
+  for (int k = 0; k < 10; ++k) {
+    const BoundResult r = compiled->Evaluate(values[k % 2], false);
+    ASSERT_TRUE(r.ok());
+    EXPECT_NEAR(r.log2_bound, 2.0, 1e-9);
+    paths.push_back(r.eval_path);
+  }
+  ExpectWitnessAfterTwo(paths, "R(X),S(Y),T(X,Y) pair");
+}
+
+// The JOB workload compiles 33 templates to 32 structures; the two
+// templates sharing one alternate on its compiled bound, which is what a
+// template mix does to it. Values must match a cold one-shot solve.
+TEST(CompiledBound, AlternatingJobTemplatesServeWitnesses) {
+  JobWorkloadOptions options;
+  options.scale = 0.05;
+  const JobWorkload wl = GenerateJobWorkload(options);
+  CardinalityAdvisor advisor(wl.catalog);
+  std::map<std::string, std::vector<size_t>> by_structure;
+  std::vector<std::vector<ConcreteStatistic>> stats(wl.queries.size());
+  for (size_t q = 0; q < wl.queries.size(); ++q) {
+    stats[q] = advisor.Explain(wl.queries[q]).stats;
+    by_structure[StructureKey(StructureOf(wl.queries[q].num_vars(), stats[q]))]
+        .push_back(q);
+  }
+  int shared = 0;
+  for (const auto& [key, templates] : by_structure) {
+    if (templates.size() < 2) continue;
+    ++shared;
+    const size_t a = templates[0], b = templates[1];
+    const int n = wl.queries[a].num_vars();
+    auto compiled =
+        FindBoundEngine("auto")->Compile(StructureOf(n, stats[a]), {});
+    std::vector<LpEvalPath> paths;
+    for (int k = 0; k < 8; ++k) {
+      const size_t q = k % 2 == 0 ? a : b;
+      const BoundResult r = compiled->Evaluate(ValuesOf(stats[q]), false);
+      ASSERT_TRUE(r.ok());
+      EXPECT_NEAR(r.log2_bound, LpNormBound(n, stats[q]).log2_bound, 1e-6)
+          << "template " << q;
+      paths.push_back(r.eval_path);
+    }
+    ExpectWitnessAfterTwo(paths, "templates " + std::to_string(a) + "/" +
+                                     std::to_string(b));
+  }
+  EXPECT_GE(shared, 1);
 }
 
 }  // namespace

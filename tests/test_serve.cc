@@ -223,6 +223,49 @@ TEST(AdvisorService, DestructorWithInFlightRequestsCompletesFutures) {
   for (std::future<double>& f : inflight) EXPECT_TRUE(std::isfinite(f.get()));
 }
 
+// One bad request inside an admission batch (an unknown relation, an atom
+// wider than its relation) resolves to quiet NaN and touches nothing
+// else: every other request of the batch gets exactly the bits it gets
+// from the same batch without the bad ones.
+TEST(AdvisorService, BadRequestInBatchLeavesOthersBitwiseUnchanged) {
+  Catalog db = ServeDb();
+  const std::vector<Query> queries = ServeQueries();
+  // Fresh advisor and service per run, one worker and a window wide
+  // enough that the whole burst is one admission batch.
+  auto serve_one_batch = [&db](const std::vector<Query>& burst) {
+    CardinalityAdvisor advisor(db);
+    AdvisorServiceOptions options;
+    options.workers = 1;
+    options.max_batch = 64;
+    options.batch_window_us = 50000;
+    AdvisorService service(advisor, options);
+    std::vector<std::future<double>> inflight;
+    for (const Query& q : burst) inflight.push_back(service.SubmitLog2(q));
+    std::vector<double> out;
+    for (std::future<double>& f : inflight) out.push_back(f.get());
+    service.Shutdown();
+    EXPECT_EQ(service.metrics().batches, 1u);
+    EXPECT_EQ(service.metrics().completed, burst.size());
+    return out;
+  };
+  const std::vector<double> clean = serve_one_batch(queries);
+  std::vector<Query> dirty = queries;
+  dirty.insert(dirty.begin() + 1, Parse("R(X,Y), Missing(Y,Z)"));
+  dirty.insert(dirty.begin() + 4, Parse("S(X,Y), T(Y,Z,W,V)"));
+  const std::vector<double> served = serve_one_batch(dirty);
+  ASSERT_EQ(served.size(), dirty.size());
+  EXPECT_TRUE(std::isnan(served[1]));
+  EXPECT_TRUE(std::isnan(served[4]));
+  std::vector<double> good;
+  for (size_t i = 0; i < served.size(); ++i) {
+    if (i != 1 && i != 4) good.push_back(served[i]);
+  }
+  ASSERT_EQ(good.size(), clean.size());
+  for (size_t i = 0; i < clean.size(); ++i) {
+    EXPECT_EQ(good[i], clean[i]) << queries[i].ToString();  // bitwise
+  }
+}
+
 TEST(AdvisorBatchEdgeCases, EmptyQueryVectorYieldsEmptyResult) {
   Catalog db = ServeDb();
   CardinalityAdvisor advisor(db);
